@@ -26,7 +26,7 @@
 
 #include "ir/Program.h"
 #include "support/DiagnosticEngine.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 namespace npral {
 

@@ -5,7 +5,7 @@
 #include "alloc/MoveElimination.h"
 #include "alloc/SplitTransforms.h"
 #include "analysis/LiveRangeRenaming.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <algorithm>
 #include <cassert>

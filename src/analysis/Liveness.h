@@ -18,7 +18,7 @@
 
 #include "ir/Program.h"
 #include "support/BitVector.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <vector>
 

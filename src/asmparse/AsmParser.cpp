@@ -10,6 +10,8 @@
 #include <cassert>
 #include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 using namespace npral;
@@ -155,6 +157,9 @@ private:
   /// label intervenes) opens a fresh block, so conditional branches may
   /// appear mid-stream in the source.
   bool NeedNewBlock = false;
+  /// Blocks opened by NeedNewBlock rather than by a label. Their `bb<N>`
+  /// name yields to an explicit label that claims it later in the source.
+  std::set<int> Generated;
 
   int currentBlock() {
     if (P.Blocks.empty())
@@ -175,6 +180,15 @@ private:
         PrevBB.FallThrough = NewBlock;
     }
     return NewBlock;
+  }
+
+  /// The smallest `bb<N>` that names no block yet.
+  std::string freeBlockName() const {
+    for (int N = 0;; ++N) {
+      std::string Name = "bb" + std::to_string(N);
+      if (!BlockByName.count(Name))
+        return Name;
+    }
   }
 
   Reg getReg(std::string_view Name) {
@@ -256,7 +270,10 @@ Status ThreadParser::parseDirective(LineLexer &Lex, std::string_view Dir) {
 Status ThreadParser::parseInstruction(LineLexer &Lex, Opcode Op) {
   SawInstruction = true;
   if (NeedNewBlock) {
-    startBlock("bb" + std::to_string(P.getNumBlocks()));
+    std::string Name = "bb" + std::to_string(P.getNumBlocks());
+    if (BlockByName.count(Name))
+      Name = freeBlockName();
+    Generated.insert(startBlock(Name));
     NeedNewBlock = false;
   }
   const OpcodeInfo &Info = getOpcodeInfo(Op);
@@ -404,9 +421,21 @@ Status ThreadParser::parseLine(LineLexer &Lex) {
   if (Lex.peek().Kind == TokKind::Colon) {
     Lex.take();
     std::string Name(First.Text);
-    if (BlockByName.count(Name))
-      return Lex.error("duplicate label '" + Name + "'");
+    auto It = BlockByName.find(Name);
+    int Displaced = NoBlock;
+    if (It != BlockByName.end()) {
+      if (!Generated.count(It->second))
+        return Lex.error("duplicate label '" + Name + "'");
+      // An explicit label wins: the parser-opened block takes a free name.
+      Displaced = It->second;
+      BlockByName.erase(It);
+    }
     startBlock(Name);
+    if (Displaced != NoBlock) {
+      std::string Fresh = freeBlockName();
+      P.block(Displaced).NameId = P.Strings.intern(Fresh);
+      BlockByName.emplace(std::move(Fresh), Displaced);
+    }
     NeedNewBlock = false;
     if (!Lex.atEnd())
       return Lex.error("unexpected tokens after label");

@@ -32,7 +32,7 @@
 #define NPRAL_ASMPARSE_ASMPARSER_H
 
 #include "ir/Program.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <string_view>
 

@@ -5,7 +5,7 @@
 #include "alloc/IntraAllocator.h"
 #include "analysis/LiveRangeRenaming.h"
 #include "harden/SpillFallback.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 #include "trace/CycleTrace.h"
 #include "trace/MetricsRegistry.h"
 #include "trace/TraceEngine.h"

@@ -11,7 +11,7 @@
 #define NPRAL_IR_IRVERIFIER_H
 
 #include "ir/Program.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 namespace npral {
 

@@ -39,7 +39,7 @@
 #ifndef NPRAL_TRACE_CYCLETRACE_H
 #define NPRAL_TRACE_CYCLETRACE_H
 
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <array>
 #include <cstdint>

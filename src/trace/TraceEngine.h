@@ -34,7 +34,7 @@
 #ifndef NPRAL_TRACE_TRACEENGINE_H
 #define NPRAL_TRACE_TRACEENGINE_H
 
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <atomic>
 #include <cstdint>

@@ -34,7 +34,7 @@
 #ifndef NPRAL_TRACE_TRACEVALIDATOR_H
 #define NPRAL_TRACE_TRACEVALIDATOR_H
 
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <cstdint>
 #include <string>

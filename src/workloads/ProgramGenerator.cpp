@@ -4,7 +4,7 @@
 
 #include "ir/IRBuilder.h"
 #include "ir/IRVerifier.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <algorithm>
 #include <vector>

@@ -24,7 +24,7 @@
 #define NPRAL_WORKLOADS_WORKLOAD_H
 
 #include "ir/Program.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <cstdint>
 #include <string>

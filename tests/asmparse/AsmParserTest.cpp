@@ -112,6 +112,45 @@ out:
   ASSERT_TRUE(verifyProgram(P).ok());
 }
 
+TEST(AsmParserTest, ExplicitLabelWinsOverGeneratedBlockName) {
+  // The block opened after `bnz` is first named bb1; the later `bb1:` label
+  // claims that name, so the opened block takes the smallest free one.
+  Program P = parseOrDie(R"(
+.thread t
+entry:
+    imm  a, 1
+    bnz  a, bb2
+    br   bb1
+bb1:
+    addi a, a, 1
+bb2:
+    halt
+)");
+  ASSERT_EQ(P.getNumBlocks(), 4);
+  EXPECT_EQ(P.blockName(1), "bb0");
+  EXPECT_EQ(P.blockName(2), "bb1");
+  EXPECT_EQ(P.block(1).Instrs[0].Target, 2);
+  const std::string Printed = programToString(P);
+  EXPECT_EQ(programToString(parseOrDie(Printed)), Printed);
+}
+
+TEST(AsmParserTest, GeneratedBlockAvoidsEarlierLabel) {
+  // The second opened block would be bb2, which an earlier label holds.
+  Program P = parseOrDie(R"(
+.thread t
+bb2:
+    imm  a, 1
+    bnz  a, bb2
+    bnz  a, bb2
+    halt
+)");
+  ASSERT_EQ(P.getNumBlocks(), 3);
+  EXPECT_EQ(P.blockName(1), "bb1");
+  EXPECT_EQ(P.blockName(2), "bb0");
+  const std::string Printed = programToString(P);
+  EXPECT_EQ(programToString(parseOrDie(Printed)), Printed);
+}
+
 TEST(AsmParserTest, CommentsAndBlankLines) {
   Program P = parseOrDie(R"(
 ; leading comment

@@ -1,7 +1,7 @@
 //===- SupportTest.cpp - Diagnostics, Rng, strings, tables ----------------===//
 
-#include "support/Diagnostics.h"
 #include "support/Random.h"
+#include "support/Status.h"
 #include "support/StringUtils.h"
 #include "support/TableFormatter.h"
 

@@ -4,44 +4,11 @@
 // file, run the paper's inter-thread register allocator, and emit the
 // allocated program, analysis reports, or a simulation run.
 //
-//   npralc analyze  file.s             per-thread analysis + bounds report
-//   npralc alloc    file.s [-nreg N]   allocate and print physical assembly
-//   npralc run      file.s [-nreg N] [-iters K] [-memlat L]
-//                                      allocate, simulate, report cycles
-//   npralc baseline file.s [-regs K]   fixed-partition spilling allocation
-//   npralc sra      file.s [-nthd N] [-nreg R]
-//                                      symmetric allocation: N copies of the
-//                                      (single) thread on one engine
-//   npralc lint     file.s [--json] [--after-alloc] [--physical]
-//                          [--only checks] [-nreg N] [--Werror]
-//                                      run every registered checker, report
-//                                      all findings (text or JSON)
-//   npralc verify   files... [--jobs N] [--json] [--Werror] [-nreg N]
-//                            [--allow-spill] [--max-spills K] [--paired]
-//                            [--pgo-static] [--profile f]
-//                                      allocate each file, then prove the
-//                                      physical output equivalent to the
-//                                      virtual input (translation
-//                                      validation); --paired checks a
-//                                      hand-written physical half instead
-//   npralc profile  file.s [-iters K] [-memlat L] [-o out.npprof]
-//                                      simulate the virtual program and
-//                                      collect an execution profile
-//   npralc batch    files... [--jobs N] [--cache] [--stats] [--json]
-//                            [-nreg N] [--profile f] [--pgo-static]
-//                                      allocate and verify many programs
-//                                      across a thread pool
-//   npralc trace-validate t.json       strictly parse and validate a Chrome
-//                                      trace-event JSON file
-//
-// `alloc` and `batch` accept --profile <f.npprof> (collected by `profile`)
-// or --pgo-static to weight move costs by block execution frequency.
-// `alloc --explain` prints the allocator's decision log: one record per
-// Fig. 8 reduction step with every thread's move-cost bid.
-//
-// Every subcommand accepts --trace-out <f.json> (record spans and events
-// while the command runs, write Chrome trace-event JSON on exit) and
-// --metrics (dump the global metrics registry to stderr on exit).
+// The command-line grammar lives in two tables: Options (every flag, the
+// subcommands that accept it, its default, help text and numeric range) and
+// Commands (every subcommand, its positional arguments and its handler). One
+// parser reads argv against them, and the usage text `npralc` prints when run
+// without arguments is generated from the same rows.
 //
 // Threads may declare entry-live registers; `run` seeds them with zero (use
 // the C++ API for richer setups — see examples/).
@@ -82,243 +49,434 @@
 #include "trace/TraceReport.h"
 #include "trace/TraceValidator.h"
 
+#include <algorithm>
+#include <cassert>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace npral;
 
 namespace {
 
-int usage() {
-  std::cerr
-      << "usage: npralc <subcommand> <file.s> [options]\n"
-         "\n"
-         "subcommands:\n"
-         "  analyze  file.s\n"
-         "      per-thread analysis (live ranges, NSRs, pressure) and the\n"
-         "      MinR/MinPR/MaxR/MaxPR register bounds; no options\n"
-         "  alloc    file.s [-nreg N] [--explain] [--profile f]\n"
-         "           [--pgo-static] [--allow-spill] [--max-spills K]\n"
-         "           [--validate]\n"
-         "      run the inter-thread allocator and print the physical\n"
-         "      assembly plus the per-thread PR/SR split\n"
-         "        -nreg N       register file size (default 128)\n"
-         "        --explain     print the allocation decision log: one\n"
-         "                      record per reduction step with every\n"
-         "                      thread's move-cost bid, plus rebalance\n"
-         "                      and intra-thread events\n"
-         "        --profile f   weight move costs by the execution counts\n"
-         "                      in f (a .npprof from `npralc profile`);\n"
-         "                      threads are matched by position and must\n"
-         "                      hash to the profiled code\n"
-         "        --pgo-static  weight move costs by 10^loop-depth instead\n"
-         "                      of a collected profile\n"
-         "        --allow-spill degrade gracefully when the budget is\n"
-         "                      infeasible: demote the cheapest live ranges\n"
-         "                      to scratch memory and retry (feasible\n"
-         "                      inputs produce bit-identical output)\n"
-         "        --max-spills K  live ranges the fallback may demote\n"
-         "                      (default 64)\n"
-         "        --validate    prove the physical output equivalent to\n"
-         "                      the virtual input (translation validation)\n"
-         "                      and cross-check the allocation decision\n"
-         "                      log; a refuted run fails with a witness\n"
-         "  run      file.s [-nreg N] [-iters K] [-memlat L]\n"
-         "           [--trace-cycles f.json] [--sample-cycles N]\n"
-         "      allocate, then simulate on the cycle-level engine\n"
-         "        -nreg N    register file size (default 128)\n"
-         "        -iters K   loop iterations to simulate (default 10)\n"
-         "        -memlat L  memory latency in cycles (default 40)\n"
-         "        --trace-cycles f.json  write a virtual-time Chrome\n"
-         "                   trace (ts = simulated cycles) with per-thread\n"
-         "                   state slices and telemetry counters\n"
-         "        --sample-cycles N  telemetry sampling period (default\n"
-         "                   64)\n"
-         "  baseline file.s [-regs K]\n"
-         "      fixed-partition Chaitin/Briggs allocation with spill code\n"
-         "        -regs K    per-thread partition size (default 32)\n"
-         "  sra      file.s [-nthd N] [-nreg R]\n"
-         "      symmetric allocation: N copies of the (single) thread\n"
-         "        -nthd N    thread count (default 4)\n"
-         "        -nreg R    register file size (default 128)\n"
-         "  grid     scenario [--engines N] [--placement P] [-nreg N]\n"
-         "           [-iters K] [-memlat L] [--hoplat H] [--credits C]\n"
-         "           [--json]\n"
-         "      multi-micro-engine run: place the scenario's thread pool\n"
-         "      across N engines, allocate each engine independently, and\n"
-         "      simulate the grid in lockstep over the modeled\n"
-         "      interconnect (docs/grid.md). scenario is s1, s2, s3 (the\n"
-         "      Table-3 mixes, template replicated per engine) or 'mixed'\n"
-         "      (all three templates interleaved)\n"
-         "        --engines N   micro-engines in the grid (default 4)\n"
-         "        --placement P thread placement policy: roundrobin,\n"
-         "                      bounds, or search (default bounds)\n"
-         "        -nreg N       per-engine register file size (default\n"
-         "                      128)\n"
-         "        -iters K      target iterations per thread (default 50)\n"
-         "        -memlat L     memory latency in cycles (default 40)\n"
-         "        --hoplat H    interconnect per-hop latency (default 4)\n"
-         "        --credits C   per-thread work-token window (default 4)\n"
-         "        --json        emit the report as JSON\n"
-         "        --trace-cycles f.json\n"
-         "                      write a virtual-time Chrome trace: ts is\n"
-         "                      simulated cycles, with per-thread state\n"
-         "                      slices, telemetry counter tracks, and\n"
-         "                      work-dispatch flow arrows\n"
-         "        --sample-cycles N\n"
-         "                      telemetry sampling period in cycles for\n"
-         "                      --trace-cycles (default 64)\n"
-         "  lint     file.s [--json] [--after-alloc] [--physical]\n"
-         "           [--only checks] [-nreg N] [--Werror]\n"
-         "      run the static-analysis checkers and report every finding\n"
-         "        --json          emit diagnostics as JSON\n"
-         "        --after-alloc   allocate first, lint the physical result\n"
-         "        --physical      treat registers named p<N> as a\n"
-         "                        hand-crafted physical allocation\n"
-         "        --only checks   comma-separated checker names to run\n"
-         "        -nreg N         register file size for --after-alloc\n"
-         "        --Werror        exit nonzero on warnings, not just errors\n"
-         "  verify   files... [--jobs N] [--json] [--Werror] [-nreg N]\n"
-         "           [--allow-spill] [--max-spills K] [--pgo-static]\n"
-         "           [--profile f] [--paired]\n"
-         "      allocate each file and statically prove the physical\n"
-         "      output computes exactly what the virtual input computes\n"
-         "      (translation validation); a mismatch is reported as a\n"
-         "      diagnostic with a witness path\n"
-         "        --jobs N      worker threads (default 1); the report is\n"
-         "                      byte-identical for any worker count\n"
-         "        --json        emit the report as JSON\n"
-         "        --Werror      exit nonzero on warnings, not just\n"
-         "                      rejections\n"
-         "        -nreg N       register file size (default 128)\n"
-         "        --allow-spill prove spill-degraded outputs against the\n"
-         "                      pre-spill reference\n"
-         "        --max-spills K  spill cap for --allow-spill (default 64)\n"
-         "        --pgo-static  static PGO weights during allocation\n"
-         "        --profile f   collected-profile weights (hash-matched)\n"
-         "        --paired      each file carries virtual threads followed\n"
-         "                      by an equal number of hand-written physical\n"
-         "                      (p<N>-named) threads; check those instead\n"
-         "                      of allocating\n"
-         "  profile  file.s [-iters K] [-memlat L] [-o out.npprof]\n"
-         "      simulate the virtual (pre-allocation) program and collect\n"
-         "      per-block execution and context-switch counts\n"
-         "        -iters K   loop iterations to simulate (default 10)\n"
-         "        -memlat L  memory latency in cycles (default 40)\n"
-         "        -o file    write the profile to file (default: stdout)\n"
-         "  batch    files... [--jobs N] [--cache] [--stats] [--json]\n"
-         "           [-nreg N] [--profile f] [--pgo-static] [--allow-spill]\n"
-         "           [--max-spills K] [--retry-degraded] [--deadline-ms D]\n"
-         "           [--fault-inject spec] [--validate]\n"
-         "      run the full pipeline (parse, analyze, allocate, verify)\n"
-         "      over many files on a thread pool; one result row per file\n"
-         "        --jobs N      worker threads (default: hw concurrency)\n"
-         "        --cache       memoise per-thread analyses by content hash\n"
-         "        --stats       report per-stage wall clock and cache hits\n"
-         "        --json        emit the --stats report as JSON\n"
-         "        -nreg N       register file size (default 128)\n"
-         "        --profile f   apply f's execution counts to any thread\n"
-         "                      whose code hash matches (profile as a\n"
-         "                      database; unmatched threads stay unit)\n"
-         "        --pgo-static  10^loop-depth weights for unmatched threads\n"
-         "        --allow-spill spill-based graceful degradation for\n"
-         "                      infeasible budgets (see alloc)\n"
-         "        --max-spills K  per-job spill cap (default 64)\n"
-         "        --retry-degraded  retry an infeasible job once in\n"
-         "                      degraded (spill-permitted) mode; the first\n"
-         "                      attempt stays strict\n"
-         "        --deadline-ms D  per-job allocation deadline; an expired\n"
-         "                      deadline fails only that job\n"
-         "        --fault-inject <sites>@<rate>#<seed>\n"
-         "                      deterministic fault injection at the named\n"
-         "                      stage probes (parse,analysis,cache,alloc or\n"
-         "                      'all'); rate in percent, e.g. all@50#7. Also\n"
-         "                      honours NPRAL_FAULT_INJECT in the\n"
-         "                      environment. Injected faults fail the job,\n"
-         "                      never the batch\n"
-         "        --validate    translation-validate every successful\n"
-         "                      allocation; a refuted job fails in stage\n"
-         "                      'validate' and --stats grows a validate\n"
-         "                      line\n"
-         "        --cache-bytes B  bound the analysis cache to B bytes with\n"
-         "                      LRU eviction (implies --cache); 0 =\n"
-         "                      unbounded (default)\n"
-         "  serve    --socket PATH [--workers N] [--queue-cap N]\n"
-         "           [--max-conns N] [--max-request-bytes B]\n"
-         "           [--deadline-ms D] [--cache-bytes B]\n"
-         "           [--retry-after-ms M] [--fault-inject spec]\n"
-         "      allocation-as-a-service daemon on a Unix socket\n"
-         "      (docs/serve.md): bounded admission queue with load\n"
-         "      shedding, per-request watchdog deadlines and fault\n"
-         "      isolation, a shared LRU-bounded analysis cache, and\n"
-         "      graceful drain on SIGTERM/SIGINT (in-flight requests\n"
-         "      finish, queued ones answer 'cancelled', exit 0)\n"
-         "        --workers N   request executors (default: hw concurrency)\n"
-         "        --queue-cap N admission queue bound (default 64); a full\n"
-         "                      queue sheds with 'unavailable' + retry hint\n"
-         "        --max-conns N concurrent connections (default 64)\n"
-         "        --max-request-bytes B  reject larger frames (default 4M)\n"
-         "        --deadline-ms D  default per-request deadline\n"
-         "        --cache-bytes B  analysis-cache budget (default 64M)\n"
-         "        --retry-after-ms M  backoff hint in shed responses\n"
-         "  client   --socket PATH [file.s] [-nreg N] [--allow-spill]\n"
-         "           [--max-spills K] [--validate] [--deadline-ms D]\n"
-         "           [--profile-hash H] [--health] [--fetch-metrics]\n"
-         "      send one request to a running serve daemon; prints the\n"
-         "      allocated physical assembly (byte-identical to `alloc`'s\n"
-         "      print section) on stdout, a summary on stderr\n"
-         "        --health        fetch the daemon's health lines instead\n"
-         "        --fetch-metrics fetch the daemon's metrics JSON instead\n"
-         "        --profile-hash H  opaque cache-partition tag\n"
-         "  trace-validate file.json\n"
-         "      strictly parse and validate a Chrome trace-event JSON\n"
-         "      file (phases, per-track span balance, timestamp order,\n"
-         "      counter monotonicity, flow pairing)\n"
-         "  report   file.json [--html out.html]\n"
-         "      summarise a trace file: per-track state breakdown bars,\n"
-         "      counter sparklines, and flow latency percentiles; --html\n"
-         "      writes a self-contained page instead of text\n"
-         "\n"
-         "global options (accepted by every subcommand):\n"
-         "  --trace-out f.json  record spans and instant events while the\n"
-         "                      command runs; write Chrome trace-event\n"
-         "                      JSON on exit (open in Perfetto or\n"
-         "                      chrome://tracing)\n"
-         "  --metrics           dump the metrics registry to stderr on\n"
-         "                      exit (one line per instrument)\n"
-         "\n"
-         "      checkers:\n";
-  for (const CheckerInfo &C : getCheckerRegistry())
-    std::cerr << "        " << C.Name << ": " << C.Description << "\n";
-  std::cerr << "\nexit status: 0 ok, 1 findings/errors, 2 bad usage\n";
+constexpr uint64_t IntMax = std::numeric_limits<int>::max();
+constexpr uint64_t Int64Max = std::numeric_limits<int64_t>::max();
+
+/// One row of the option grammar. A flag whose default or meaning differs
+/// by subcommand has one row per meaning, so a (flag, subcommand) pair
+/// selects at most one row.
+struct OptionSpec {
+  const char *Flag;
+  /// Value placeholder in the usage text; null for a switch.
+  const char *Value;
+  /// Space-separated subcommands that accept the flag; "*" for every one.
+  const char *Commands;
+  /// Value when the flag is absent; null for none.
+  const char *Default;
+  const char *Help;
+  /// Inclusive range of a numeric value; Max == 0 marks a text value.
+  uint64_t Min = 0;
+  uint64_t Max = 0;
+};
+
+const OptionSpec Options[] = {
+    // Allocation.
+    {"-nreg", "N", "alloc run sra lint verify batch client", "128",
+     "register file size", 1, 65536},
+    {"-nreg", "N", "grid", "128", "per-engine register file size", 1, 65536},
+    {"--explain", nullptr, "alloc", nullptr,
+     "print the decision log (one record per Fig. 8 reduction step with "
+     "every thread's move-cost bid) instead of the assembly"},
+    {"--profile", "f", "alloc", nullptr,
+     "weight move costs by f, a .npprof from `npralc profile`; threads match "
+     "by position and must hash to the profiled code"},
+    {"--profile", "f", "verify batch", nullptr,
+     "weight move costs by f's counts for every thread whose code hash "
+     "matches"},
+    {"--pgo-static", nullptr, "alloc verify batch", nullptr,
+     "weight move costs by 10^loop-depth where no profile applies"},
+    {"--allow-spill", nullptr, "alloc verify batch client", nullptr,
+     "on an infeasible budget, spill the cheapest live ranges and retry"},
+    {"--max-spills", "K", "alloc verify batch client", "64",
+     "live ranges the spill fallback may demote", 0, IntMax},
+    {"--validate", nullptr, "alloc batch client", nullptr,
+     "prove each allocation equivalent to its input (translation validation)"},
+    {"--retry-degraded", nullptr, "batch", nullptr,
+     "retry an infeasible job once with spilling allowed"},
+    // Simulation.
+    {"-iters", "K", "run profile", "10",
+     "loop iterations to simulate; 0 = until every thread halts", 0, IntMax},
+    {"-iters", "K", "grid", "50",
+     "iterations per thread; 0 = until every thread halts", 0, IntMax},
+    {"-memlat", "L", "run profile grid", "40", "memory latency in cycles", 0,
+     IntMax},
+    {"--trace-cycles", "f.json", "run grid", nullptr,
+     "write a virtual-time Chrome trace (ts = simulated cycles)"},
+    {"--sample-cycles", "N", "run grid", "64",
+     "telemetry sampling period of --trace-cycles", 1, IntMax},
+    {"-regs", "K", "baseline", "32", "per-thread partition size", 1, 65536},
+    {"-nthd", "N", "sra", "4", "thread count", 1, 1024},
+    {"--engines", "N", "grid", "4", "micro-engines in the grid", 1, 16},
+    {"--placement", "P", "grid", "bounds",
+     "thread placement: roundrobin, bounds or search"},
+    {"--hoplat", "H", "grid", "4", "interconnect per-hop latency", 1, IntMax},
+    {"--credits", "C", "grid", "4", "per-thread work-token window", 1, IntMax},
+    // Reports.
+    {"--json", nullptr, "lint verify grid", nullptr, "emit the report as JSON"},
+    {"--json", nullptr, "batch", nullptr, "emit the --stats report as JSON"},
+    {"--Werror", nullptr, "lint verify", nullptr, "exit 1 on warnings too"},
+    {"--after-alloc", nullptr, "lint", nullptr,
+     "allocate first, lint the physical result"},
+    {"--physical", nullptr, "lint", nullptr,
+     "registers named p<N> are a hand-written physical allocation"},
+    {"--only", "checks", "lint", nullptr,
+     "comma-separated checkers to run (listed below)"},
+    {"--paired", nullptr, "verify", nullptr,
+     "check each file's second half of threads, hand-written p<N> code, "
+     "against its first half instead of allocating"},
+    {"-o", "file", "profile", nullptr, "write the profile to file"},
+    {"--html", "out.html", "report", nullptr,
+     "write a self-contained HTML page instead of text"},
+    // Drivers.
+    {"--socket", "PATH", "serve client", nullptr,
+     "Unix socket of the daemon (required)"},
+    {"--jobs", "N", "verify", "1",
+     "worker threads; the report is the same for any count", 1, 1024},
+    {"--jobs", "N", "batch", "0", "worker threads; 0 = hardware concurrency",
+     0, 1024},
+    {"--cache", nullptr, "batch", nullptr,
+     "memoise per-thread analyses by content hash"},
+    {"--cache-bytes", "B", "batch", "0",
+     "LRU byte budget of the analysis cache (implies --cache); 0 = unbounded",
+     0, Int64Max},
+    {"--cache-bytes", "B", "serve", "67108864",
+     "LRU byte budget of the analysis cache; 0 = unbounded", 0, Int64Max},
+    {"--stats", nullptr, "batch", nullptr,
+     "report per-stage wall clock and cache hits"},
+    {"--deadline-ms", "D", "batch", "0",
+     "per-job allocation deadline; 0 = none", 0, IntMax},
+    {"--deadline-ms", "D", "serve", "0",
+     "deadline of requests that set none; 0 = none", 0, IntMax},
+    {"--deadline-ms", "D", "client", "0",
+     "request deadline; 0 = the daemon's default", 0, IntMax},
+    {"--fault-inject", "spec", "batch serve", nullptr,
+     "fail stages on purpose: <sites>@<rate>#<seed> with sites parse, "
+     "analysis, cache, alloc or all and rate in percent (e.g. all@50#7); "
+     "defaults to $NPRAL_FAULT_INJECT"},
+    {"--workers", "N", "serve", "0",
+     "request executors; 0 = hardware concurrency", 0, 1024},
+    {"--queue-cap", "N", "serve", "64",
+     "admission queue bound; a full queue sheds load", 1, 65536},
+    {"--max-conns", "N", "serve", "64", "concurrent connections", 1, 65536},
+    {"--max-request-bytes", "B", "serve", "4194304",
+     "reject larger request frames", 1, 1u << 30},
+    {"--retry-after-ms", "M", "serve", "10", "backoff hint in shed responses",
+     0, IntMax},
+    {"--profile-hash", "H", "client", "0", "opaque cache-partition tag", 0,
+     std::numeric_limits<uint64_t>::max()},
+    {"--health", nullptr, "client", nullptr, "fetch health lines instead"},
+    {"--fetch-metrics", nullptr, "client", nullptr,
+     "fetch the metrics JSON instead"},
+    // Global.
+    {"--trace-out", "f.json", "*", nullptr,
+     "record spans and events; write Chrome trace-event JSON on exit"},
+    {"--metrics", nullptr, "*", nullptr,
+     "dump the metrics registry to stderr on exit"},
+};
+
+struct CommandSpec;
+
+/// A parsed command line: the subcommand, its positional arguments and the
+/// text of every option it accepts, given or defaulted.
+struct ParsedArgs {
+  const CommandSpec *Cmd = nullptr;
+  std::vector<std::string> Positionals;
+
+  /// Reads argv against the tables. Returns a message naming the offending
+  /// flag or argument, or "" on success.
+  std::string parse(int Argc, char **Argv);
+
+  bool on(std::string_view Flag) const { return lookup(Flag) != nullptr; }
+  const std::string &str(std::string_view Flag) const {
+    static const std::string Empty;
+    const std::string *V = lookup(Flag);
+    return V ? *V : Empty;
+  }
+  /// The value of a numeric flag, already checked against its range.
+  uint64_t num64(std::string_view Flag) const;
+  int num(std::string_view Flag) const;
+
+private:
+  std::map<std::string_view, std::string> Values;
+
+  const std::string *lookup(std::string_view Flag) const;
+};
+
+struct CommandSpec {
+  const char *Name;
+  /// Positional arguments as the usage text shows them.
+  const char *Args;
+  size_t MinArgs;
+  size_t MaxArgs;
+  const char *Help;
+  int (*Run)(const ParsedArgs &);
+};
+
+extern const CommandSpec Commands[];
+extern const size_t NumCommands;
+
+/// Whether \p Cmd (null: no subcommand yet) accepts row \p O.
+bool accepts(const OptionSpec &O, const CommandSpec *Cmd) {
+  const std::string List = std::string(" ") + O.Commands + " ";
+  return List == " * " || (Cmd && List.find(" " + std::string(Cmd->Name) +
+                                            " ") != std::string::npos);
+}
+
+/// The row for \p Flag under \p Cmd (null: global rows only).
+const OptionSpec *findOption(std::string_view Flag, const CommandSpec *Cmd) {
+  for (const OptionSpec &O : Options)
+    if (Flag == O.Flag && accepts(O, Cmd))
+      return &O;
+  return nullptr;
+}
+
+/// \p Text as a whole non-negative decimal integer, or nullopt.
+std::optional<uint64_t> parseUnsigned(std::string_view Text) {
+  uint64_t V = 0;
+  const char *End = Text.data() + Text.size();
+  const auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec != std::errc() || Ptr != End)
+    return std::nullopt;
+  return V;
+}
+
+bool inRange(std::string_view Text, const OptionSpec &O) {
+  const std::optional<uint64_t> V = parseUnsigned(Text);
+  return V && *V >= O.Min && *V <= O.Max;
+}
+
+const std::string *ParsedArgs::lookup(std::string_view Flag) const {
+  assert(findOption(Flag, Cmd) && "flag not in the option table");
+  auto It = Values.find(Flag);
+  return It == Values.end() ? nullptr : &It->second;
+}
+
+uint64_t ParsedArgs::num64(std::string_view Flag) const {
+  return parseUnsigned(str(Flag)).value_or(0);
+}
+
+int ParsedArgs::num(std::string_view Flag) const {
+  assert(findOption(Flag, Cmd)->Max <= IntMax && "wider than int: use num64");
+  return static_cast<int>(num64(Flag));
+}
+
+std::string ParsedArgs::parse(int Argc, char **Argv) {
+  for (int I = 1; I < Argc; ++I) {
+    const std::string Arg = Argv[I];
+    if (Arg.size() < 2 || Arg[0] != '-') {
+      if (Cmd) {
+        Positionals.push_back(Arg);
+        continue;
+      }
+      for (size_t C = 0; C < NumCommands && !Cmd; ++C)
+        if (Arg == Commands[C].Name)
+          Cmd = &Commands[C];
+      if (!Cmd)
+        return "unknown subcommand '" + Arg + "'";
+      continue;
+    }
+    const OptionSpec *O = findOption(Arg, Cmd);
+    if (!O)
+      return (Cmd ? "'" + std::string(Cmd->Name) + "' does not accept"
+                  : std::string("unknown")) +
+             " option '" + Arg + "'";
+    std::string Value;
+    if (O->Value) {
+      if (I + 1 == Argc)
+        return "option '" + Arg + "' needs a value " + O->Value;
+      const char *Text = Argv[++I];
+      if (O->Max && !inRange(Text, *O))
+        return "option '" + Arg + "': '" + Text +
+               "' is not an integer in [" + std::to_string(O->Min) + ", " +
+               std::to_string(O->Max) + "]";
+      Value = Text;
+    }
+    Values[O->Flag] = std::move(Value);
+  }
+  if (!Cmd)
+    return "";
+  for (const OptionSpec &O : Options)
+    if (O.Default && accepts(O, Cmd)) {
+      assert((!O.Max || inRange(O.Default, O)) && "default out of range");
+      Values.emplace(O.Flag, O.Default);
+    }
+  if (Positionals.size() < Cmd->MinArgs)
+    return "missing argument " + std::string(Cmd->Args);
+  if (Positionals.size() > Cmd->MaxArgs)
+    return "unexpected argument '" + Positionals[Cmd->MaxArgs] + "'";
+  return "";
+}
+
+/// Print \p Line padded to \p Column, then \p Text word-wrapped to 79
+/// columns with continuation lines indented to \p Column.
+void printRow(std::ostream &OS, std::string Line, const std::string &Text,
+              size_t Column) {
+  if (Line.size() >= Column) {
+    OS << Line << '\n';
+    Line.clear();
+  }
+  Line.resize(Column, ' ');
+  std::istringstream Words(Text);
+  for (std::string W; Words >> W;) {
+    if (Line.size() > Column && Line.size() + 1 + W.size() > 79) {
+      OS << Line << '\n';
+      Line.assign(Column, ' ');
+    } else if (Line.size() > Column) {
+      Line += ' ';
+    }
+    Line += W;
+  }
+  OS << Line << '\n';
+}
+
+void printOption(std::ostream &OS, const OptionSpec &O, size_t Indent) {
+  std::string Label = std::string(Indent, ' ') + O.Flag;
+  if (O.Value)
+    Label += std::string(" ") + O.Value;
+  std::string Help = O.Help;
+  if (O.Default)
+    Help += std::string(" (default ") + O.Default + ")";
+  printRow(OS, Label, Help, 30);
+}
+
+/// The usage text, generated from the tables: one subcommand's section
+/// when \p Only is set, else everything.
+void printUsage(std::ostream &OS, const CommandSpec *Only) {
+  if (!Only)
+    OS << "usage: npralc <subcommand> [arguments] [options]\n"
+          "options and arguments may come in any order\n\n"
+          "subcommands:\n";
+  for (size_t C = 0; C < NumCommands; ++C) {
+    const CommandSpec &Cmd = Commands[C];
+    if (Only && Only != &Cmd)
+      continue;
+    std::string Line = std::string("  ") + Cmd.Name;
+    if (*Cmd.Args) {
+      Line.resize(std::max<size_t>(Line.size() + 1, 11), ' ');
+      Line += Cmd.Args;
+    }
+    OS << Line << '\n';
+    printRow(OS, "", Cmd.Help, 6);
+    for (const OptionSpec &O : Options)
+      if (std::string_view(O.Commands) != "*" && accepts(O, &Cmd))
+        printOption(OS, O, 8);
+    if (std::string_view(Cmd.Name) == "lint") {
+      OS << "      checkers:\n";
+      for (const CheckerInfo &CI : getCheckerRegistry())
+        printRow(OS, "        " + std::string(CI.Name),
+                 std::string(CI.Description), 30);
+    }
+  }
+  if (Only)
+    return;
+  OS << "\nglobal options (accepted by every subcommand):\n";
+  for (const OptionSpec &O : Options)
+    if (std::string_view(O.Commands) == "*")
+      printOption(OS, O, 2);
+  OS << "\nexit status: 0 ok, 1 findings/errors, 2 bad usage\n";
+}
+
+/// Report a usage error (malformed, foreign or missing arguments) with the
+/// relevant usage text; exit status 2.
+int usageError(const CommandSpec *Cmd, const std::string &Message) {
+  if (!Message.empty())
+    std::cerr << "npralc: " << Message << "\n";
+  printUsage(std::cerr, Cmd);
   return 2;
 }
 
-ErrorOr<MultiThreadProgram> loadFile(const std::string &Path,
-                                     bool Rename = true) {
+/// The contents of \p Path; reports and returns nullopt when unreadable.
+std::optional<std::string> readFile(const std::string &Path) {
   std::ifstream In(Path);
-  if (!In)
-    return Status::error("cannot open '" + Path + "'");
+  if (!In) {
+    std::cerr << "error: cannot open '" << Path << "'\n";
+    return std::nullopt;
+  }
   std::ostringstream Buf;
   Buf << In.rdbuf();
-  ErrorOr<MultiThreadProgram> MTP = parseAssembly(Buf.str());
-  if (!MTP.ok())
-    return MTP.status();
+  return Buf.str();
+}
+
+/// Parse the subcommand's file argument; prints the error and returns
+/// nullopt on failure. Lint inspects the program as written (\p Rename
+/// false), so diagnostics point at the user's own register names; the
+/// allocation subcommands rename first like the full pipeline does.
+std::optional<MultiThreadProgram> loadInput(const ParsedArgs &A,
+                                            bool Rename = true) {
+  std::optional<std::string> Text = readFile(A.Positionals[0]);
+  if (!Text)
+    return std::nullopt;
+  ErrorOr<MultiThreadProgram> MTP = parseAssembly(*Text);
+  if (!MTP.ok()) {
+    std::cerr << "error: " << MTP.status().str() << "\n";
+    return std::nullopt;
+  }
   if (Rename)
     for (Program &T : MTP->Threads)
       T = renameLiveRanges(T);
-  return MTP;
+  return MTP.take();
 }
 
-int cmdAnalyze(const MultiThreadProgram &MTP) {
+/// Read and parse the .npprof file named by --profile into \p Prof (left
+/// empty without the flag); false after reporting an unreadable one.
+bool loadProfile(const ParsedArgs &A, std::optional<ExecutionProfile> &Prof) {
+  const std::string &Path = A.str("--profile");
+  if (Path.empty())
+    return true;
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text)
+    return false;
+  std::string Error;
+  Prof = ExecutionProfile::parse(*Text, Error);
+  if (!Prof)
+    std::cerr << "error: malformed profile '" << Path << "': " << Error
+              << "\n";
+  return Prof.has_value();
+}
+
+/// Parse --fault-inject into \p Faults, falling back to $NPRAL_FAULT_INJECT
+/// without the flag; false after reporting a bad spec.
+bool parseFaults(const ParsedArgs &A, FaultInjector &Faults) {
+  const std::string &Spec = A.str("--fault-inject");
+  if (Spec.empty()) {
+    Faults = FaultInjector::fromEnv();
+    return true;
+  }
+  ErrorOr<FaultInjector> FI = FaultInjector::parse(Spec);
+  if (!FI.ok()) {
+    std::cerr << "error: bad --fault-inject spec: " << FI.status().str()
+              << "\n";
+    return false;
+  }
+  Faults = FI.take();
+  return true;
+}
+
+int cmdAnalyze(const ParsedArgs &A) {
+  std::optional<MultiThreadProgram> MTP = loadInput(A);
+  if (!MTP)
+    return 1;
   TableFormatter Table({"Thread", "#Instr", "#CTX", "#LiveRanges", "#NSR",
                         "RegPmax", "RegPCSBmax", "MaxR", "MaxPR"});
-  for (const Program &T : MTP.Threads) {
+  for (const Program &T : MTP->Threads) {
     ThreadAnalysis TA = analyzeThread(T);
     RegBounds B = estimateRegBounds(TA);
     Table.row()
@@ -336,31 +494,22 @@ int cmdAnalyze(const MultiThreadProgram &MTP) {
   return 0;
 }
 
-/// Read and parse a .npprof file; exits through the caller on failure.
-std::optional<ExecutionProfile> loadProfile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::cerr << "error: cannot open profile '" << Path << "'\n";
-    return std::nullopt;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Error;
-  std::optional<ExecutionProfile> Prof = ExecutionProfile::parse(Buf.str(),
-                                                                 Error);
-  if (!Prof)
-    std::cerr << "error: malformed profile '" << Path << "': " << Error
-              << "\n";
-  return Prof;
-}
-
-int cmdAlloc(const MultiThreadProgram &MTP, int Nreg, bool Print,
-             const ExecutionProfile *Prof, bool StaticPGO, bool Explain,
-             bool AllowSpill, int MaxSpills, bool Validate) {
+int cmdAlloc(const ParsedArgs &A) {
+  std::optional<MultiThreadProgram> Input = loadInput(A);
+  if (!Input)
+    return 1;
+  const MultiThreadProgram &MTP = *Input;
+  std::optional<ExecutionProfile> Prof;
+  if (!loadProfile(A, Prof))
+    return 1;
+  const int Nreg = A.num("-nreg");
+  const bool Explain = A.on("--explain");
+  const bool AllowSpill = A.on("--allow-spill");
+  const bool Validate = A.on("--validate");
   // Resolve per-thread cost models. A collected profile matches threads by
   // position and must hash to the code it was collected on — silently
   // applying stale counts would skew every weighted decision.
-  const bool PGO = Prof != nullptr || StaticPGO;
+  const bool PGO = Prof || A.on("--pgo-static");
   std::vector<CostModel> Models;
   if (Prof) {
     if (Prof->getNumThreads() != MTP.getNumThreads()) {
@@ -378,7 +527,7 @@ int cmdAlloc(const MultiThreadProgram &MTP, int Nreg, bool Print,
       }
       Models.push_back(Prof->costModel(T, P.getNumBlocks()));
     }
-  } else if (StaticPGO) {
+  } else if (PGO) {
     for (const Program &P : MTP.Threads)
       Models.push_back(estimateCostModel(P));
   }
@@ -392,7 +541,7 @@ int cmdAlloc(const MultiThreadProgram &MTP, int Nreg, bool Print,
   const bool WantLog = Explain || (Validate && !AllowSpill);
   if (AllowSpill) {
     SpillFallbackOptions SOpts;
-    SOpts.MaxSpills = MaxSpills;
+    SOpts.MaxSpills = A.num("--max-spills");
     SF = allocateWithSpillFallback(MTP, Nreg, {}, Models,
                                    Explain ? &Log : nullptr,
                                    InterAllocLimits(), SOpts);
@@ -464,7 +613,7 @@ int cmdAlloc(const MultiThreadProgram &MTP, int Nreg, bool Print,
   if (PGO)
     std::cout << "weighted move cost: " << R.TotalWeightedCost << " ("
               << (Prof ? "collected profile" : "static estimate") << ")\n";
-  if (Print) {
+  if (!Explain) {
     std::cout << "\n";
     for (const Program &T : R.Physical.Threads) {
       printProgram(std::cout, T);
@@ -474,19 +623,21 @@ int cmdAlloc(const MultiThreadProgram &MTP, int Nreg, bool Print,
   return 0;
 }
 
-int cmdProfile(const MultiThreadProgram &MTP, int Iters, int MemLat,
-               const std::string &OutPath) {
+int cmdProfile(const ParsedArgs &A) {
+  std::optional<MultiThreadProgram> MTP = loadInput(A);
+  if (!MTP)
+    return 1;
   // Simulate the virtual program: in reference mode every thread has a
   // private register file, so no allocation is needed and the recorded
   // block IDs are the ones the allocators operate on.
-  ProfileCollector Collector(MTP);
+  ProfileCollector Collector(*MTP);
   SimConfig Config;
-  Config.MemLatency = MemLat;
-  Config.TargetIterations = Iters;
-  Simulator Sim(MTP, Config);
+  Config.MemLatency = A.num("-memlat");
+  Config.TargetIterations = A.num("-iters");
+  Simulator Sim(*MTP, Config);
   Sim.setObserver(&Collector);
-  for (int T = 0; T < MTP.getNumThreads(); ++T) {
-    const Program &P = MTP.Threads[static_cast<size_t>(T)];
+  for (int T = 0; T < MTP->getNumThreads(); ++T) {
+    const Program &P = MTP->Threads[static_cast<size_t>(T)];
     Sim.setEntryValues(T, std::vector<uint32_t>(P.EntryLiveRegs.size(), 0));
   }
   SimResult Run = Sim.run();
@@ -495,6 +646,7 @@ int cmdProfile(const MultiThreadProgram &MTP, int Iters, int MemLat,
     return 1;
   }
   const std::string Text = Collector.getProfile().print();
+  const std::string &OutPath = A.str("-o");
   if (OutPath.empty()) {
     std::cout << Text;
     return 0;
@@ -505,29 +657,33 @@ int cmdProfile(const MultiThreadProgram &MTP, int Iters, int MemLat,
     return 1;
   }
   Out << Text;
-  std::cerr << "wrote " << OutPath << " (" << MTP.getNumThreads()
+  std::cerr << "wrote " << OutPath << " (" << MTP->getNumThreads()
             << " threads, " << Run.TotalCycles << " cycles simulated)\n";
   return 0;
 }
 
-int cmdRun(const MultiThreadProgram &MTP, int Nreg, int Iters, int MemLat,
-           const std::string &TraceCycles, int SampleCycles) {
-  InterThreadResult R = allocateInterThread(MTP, Nreg);
+int cmdRun(const ParsedArgs &A) {
+  std::optional<MultiThreadProgram> MTP = loadInput(A);
+  if (!MTP)
+    return 1;
+  InterThreadResult R = allocateInterThread(*MTP, A.num("-nreg"));
   if (!R.Success) {
     std::cerr << "allocation failed: " << R.FailReason << "\n";
     return 1;
   }
+  const int Iters = A.num("-iters");
   SimConfig Config;
-  Config.MemLatency = MemLat;
+  Config.MemLatency = A.num("-memlat");
   Config.TargetIterations = Iters;
   Simulator Sim(R.Physical, Config);
   // Virtual-time trace: ts is simulated cycles, so the file is a pure
   // function of the program and config (docs/observability.md).
+  const std::string &TraceCycles = A.str("--trace-cycles");
   CycleTrace CT;
   std::optional<TelemetrySampler> Sampler;
   if (!TraceCycles.empty()) {
     Sim.setCycleTrace(&CT, /*Pid=*/1);
-    Sampler.emplace(SampleCycles > 0 ? SampleCycles : 64, &CT, nullptr);
+    Sampler.emplace(A.num("--sample-cycles"), &CT, nullptr);
     Sim.setSampler(&*Sampler, "sim.");
   }
   for (int T = 0; T < R.Physical.getNumThreads(); ++T) {
@@ -553,7 +709,7 @@ int cmdRun(const MultiThreadProgram &MTP, int Nreg, int Iters, int MemLat,
   for (size_t T = 0; T < Run.Threads.size(); ++T) {
     const ThreadStats &TS = Run.Threads[T];
     Table.row()
-        .cell(MTP.Threads[T].Name)
+        .cell(MTP->Threads[T].Name)
         .cell(TS.Iterations)
         .cell(TS.InstrsExecuted)
         .cell(TS.CtxEvents)
@@ -568,13 +724,15 @@ int cmdRun(const MultiThreadProgram &MTP, int Nreg, int Iters, int MemLat,
   return 0;
 }
 
-int cmdBaseline(const MultiThreadProgram &MTP, int RegsPerThread) {
+int cmdBaseline(const ParsedArgs &A) {
+  std::optional<MultiThreadProgram> MTP = loadInput(A);
+  if (!MTP)
+    return 1;
   TableFormatter Table({"Thread", "Colors", "Spilled", "SpillOps", "Rounds"});
-  std::vector<Program> Allocated;
   int64_t SpillBase = 0xF000;
-  for (const Program &T : MTP.Threads) {
+  for (const Program &T : MTP->Threads) {
     ChaitinConfig Config;
-    Config.NumColors = RegsPerThread;
+    Config.NumColors = A.num("-regs");
     Config.SpillBase = SpillBase;
     SpillBase += 0x100;
     ChaitinResult R = runChaitinAllocator(T, Config);
@@ -589,18 +747,22 @@ int cmdBaseline(const MultiThreadProgram &MTP, int RegsPerThread) {
         .cell(R.SpilledRanges)
         .cell(R.SpillLoads + R.SpillStores)
         .cell(R.Rounds);
-    Allocated.push_back(R.Allocated);
   }
   Table.print(std::cout);
   return 0;
 }
 
-int cmdSra(const MultiThreadProgram &MTP, int Nthd, int Nreg) {
-  if (MTP.Threads.size() != 1) {
+int cmdSra(const ParsedArgs &A) {
+  std::optional<MultiThreadProgram> MTP = loadInput(A);
+  if (!MTP)
+    return 1;
+  if (MTP->Threads.size() != 1) {
     std::cerr << "sra expects exactly one thread in the file\n";
     return 1;
   }
-  SRAResult R = solveSRA(MTP.Threads[0], Nthd, Nreg,
+  const int Nthd = A.num("-nthd");
+  const int Nreg = A.num("-nreg");
+  SRAResult R = solveSRA(MTP->Threads[0], Nthd, Nreg,
                          /*RequireZeroCost=*/false);
   if (!R.Success) {
     std::cerr << "infeasible: " << R.FailReason << "\n";
@@ -612,18 +774,20 @@ int cmdSra(const MultiThreadProgram &MTP, int Nthd, int Nreg) {
   return 0;
 }
 
-int cmdLint(MultiThreadProgram MTP, bool Json, bool AfterAlloc, bool Physical,
-            const std::string &Only, int Nreg, bool Werror) {
-  if (Physical) {
-    if (Status S = mapNamedPhysicalRegisters(MTP); !S.ok()) {
+int cmdLint(const ParsedArgs &A) {
+  std::optional<MultiThreadProgram> MTP = loadInput(A, /*Rename=*/false);
+  if (!MTP)
+    return 1;
+  if (A.on("--physical")) {
+    if (Status S = mapNamedPhysicalRegisters(*MTP); !S.ok()) {
       std::cerr << "error: " << S.str() << "\n";
       return 1;
     }
   }
-  if (AfterAlloc) {
-    for (Program &T : MTP.Threads)
+  if (A.on("--after-alloc")) {
+    for (Program &T : MTP->Threads)
       T = renameLiveRanges(T);
-    InterThreadResult R = allocateInterThread(MTP, Nreg);
+    InterThreadResult R = allocateInterThread(*MTP, A.num("-nreg"));
     if (!R.Success) {
       std::cerr << "allocation failed: " << R.FailReason << "\n";
       return 1;
@@ -632,116 +796,80 @@ int cmdLint(MultiThreadProgram MTP, bool Json, bool AfterAlloc, bool Physical,
   }
 
   LintOptions Opts;
-  if (!Only.empty()) {
-    size_t Pos = 0;
-    while (Pos <= Only.size()) {
-      size_t Comma = Only.find(',', Pos);
-      std::string Name = Only.substr(
-          Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-      if (!Name.empty()) {
-        if (!findChecker(Name)) {
-          std::cerr << "error: unknown checker '" << Name << "'\n";
-          return usage();
-        }
-        Opts.OnlyChecks.push_back(std::move(Name));
-      }
-      if (Comma == std::string::npos)
-        break;
-      Pos = Comma + 1;
-    }
+  const std::string &Only = A.str("--only");
+  for (size_t Pos = 0; Pos < Only.size();) {
+    const size_t Comma = std::min(Only.find(',', Pos), Only.size());
+    std::string Name = Only.substr(Pos, Comma - Pos);
+    Pos = Comma + 1;
+    if (Name.empty())
+      continue;
+    if (!findChecker(Name))
+      return usageError(A.Cmd, "unknown checker '" + Name + "'");
+    Opts.OnlyChecks.push_back(std::move(Name));
   }
 
   DiagnosticEngine Engine;
-  runAllCheckers(MTP, Engine, Opts);
+  runAllCheckers(*MTP, Engine, Opts);
   Engine.sortBySeverity();
-  if (Json)
+  if (A.on("--json"))
     Engine.renderJSON(std::cout);
   else
     Engine.renderText(std::cout);
   if (Engine.hasErrors())
     return 1;
-  return Werror && Engine.warningCount() > 0 ? 1 : 0;
+  return A.on("--Werror") && Engine.warningCount() > 0 ? 1 : 0;
 }
 
-int cmdVerify(const std::vector<std::string> &Files, int Jobs, bool Json,
-              bool Werror, int Nreg, bool AllowSpill, int MaxSpills,
-              bool StaticPGO, const std::string &ProfilePath, bool Paired) {
-  if (Files.empty()) {
-    std::cerr << "verify: no input files\n";
-    return usage();
-  }
+int cmdVerify(const ParsedArgs &A) {
   std::optional<ExecutionProfile> Prof;
-  if (!ProfilePath.empty()) {
-    Prof = loadProfile(ProfilePath);
-    if (!Prof)
-      return 1;
-  }
+  if (!loadProfile(A, Prof))
+    return 1;
   VerifyOptions Opts;
-  Opts.Nreg = Nreg;
-  Opts.Jobs = Jobs > 0 ? Jobs : 1;
-  Opts.AllowSpill = AllowSpill;
-  Opts.MaxSpills = MaxSpills;
-  Opts.StaticPGO = StaticPGO;
+  Opts.Nreg = A.num("-nreg");
+  Opts.Jobs = A.num("--jobs");
+  Opts.AllowSpill = A.on("--allow-spill");
+  Opts.MaxSpills = A.num("--max-spills");
+  Opts.StaticPGO = A.on("--pgo-static");
   Opts.Profile = Prof ? &*Prof : nullptr;
-  Opts.Paired = Paired;
-  VerifyResult R = runVerify(Files, Opts);
-  if (Json)
+  Opts.Paired = A.on("--paired");
+  VerifyResult R = runVerify(A.Positionals, Opts);
+  if (A.on("--json"))
     R.renderJSON(std::cout);
   else
     R.renderText(std::cout);
   if (!R.allProved())
     return 1;
-  return Werror && R.warningCount() > 0 ? 1 : 0;
+  return A.on("--Werror") && R.warningCount() > 0 ? 1 : 0;
 }
 
-int cmdBatch(const std::vector<std::string> &Files, int Jobs, bool UseCache,
-             bool Stats, bool Json, int Nreg,
-             const std::string &ProfilePath, bool StaticPGO, bool AllowSpill,
-             int MaxSpills, bool RetryDegraded, int DeadlineMs,
-             const std::string &FaultSpec, bool Validate,
-             int64_t CacheBytes) {
-  if (Files.empty()) {
-    std::cerr << "batch: no input files\n";
-    return usage();
-  }
+int cmdBatch(const ParsedArgs &A) {
   std::optional<ExecutionProfile> Prof;
-  if (!ProfilePath.empty()) {
-    Prof = loadProfile(ProfilePath);
-    if (!Prof)
-      return 1;
-  }
+  if (!loadProfile(A, Prof))
+    return 1;
   std::vector<BatchJob> Inputs;
-  Inputs.reserve(Files.size());
-  for (const std::string &F : Files) {
+  Inputs.reserve(A.Positionals.size());
+  for (const std::string &F : A.Positionals) {
     BatchJob Job;
     Job.Path = F;
     Inputs.push_back(std::move(Job));
   }
   BatchOptions Opts;
-  Opts.Nreg = Nreg;
+  Opts.Nreg = A.num("-nreg");
+  const int Jobs = A.num("--jobs");
   Opts.Jobs = Jobs > 0 ? Jobs : ThreadPool::hardwareConcurrency();
+  Opts.CacheBytes = static_cast<int64_t>(A.num64("--cache-bytes"));
   // A byte budget only makes sense with the cache on, so it implies it.
-  Opts.UseCache = UseCache || CacheBytes > 0;
-  Opts.CacheBytes = CacheBytes;
+  Opts.UseCache = A.on("--cache") || Opts.CacheBytes > 0;
   Opts.Profile = Prof ? &*Prof : nullptr;
-  Opts.StaticPGO = StaticPGO;
-  Opts.AllowSpill = AllowSpill;
-  Opts.MaxSpills = MaxSpills;
-  Opts.RetryDegraded = RetryDegraded;
-  Opts.DeadlineMs = DeadlineMs;
-  Opts.Validate = Validate;
-  if (!FaultSpec.empty()) {
-    ErrorOr<FaultInjector> FI = FaultInjector::parse(FaultSpec);
-    if (!FI.ok()) {
-      std::cerr << "error: bad --fault-inject spec: " << FI.status().str()
-                << "\n";
-      return usage();
-    }
-    Opts.Faults = FI.take();
-  } else {
-    Opts.Faults = FaultInjector::fromEnv();
-  }
-  const bool PGO = Opts.Profile != nullptr || StaticPGO;
+  Opts.StaticPGO = A.on("--pgo-static");
+  Opts.AllowSpill = A.on("--allow-spill");
+  Opts.MaxSpills = A.num("--max-spills");
+  Opts.RetryDegraded = A.on("--retry-degraded");
+  Opts.DeadlineMs = A.num("--deadline-ms");
+  Opts.Validate = A.on("--validate");
+  if (!parseFaults(A, Opts.Faults))
+    return usageError(A.Cmd, "");
+  const bool PGO = Opts.Profile != nullptr || Opts.StaticPGO;
   BatchResult Batch = runBatch(Inputs, Opts);
 
   std::vector<std::string> Cols{"File", "Threads", "Status", "Regs", "SGR",
@@ -770,8 +898,8 @@ int cmdBatch(const std::vector<std::string> &Files, int Jobs, bool UseCache,
   for (const BatchJobResult *R : Batch.failed())
     std::cerr << R->Name << ": [" << R->FailStage << "/"
               << statusCodeName(R->FailCode) << "] " << R->FailReason << "\n";
-  if (Stats) {
-    if (Json)
+  if (A.on("--stats")) {
+    if (A.on("--json"))
       Batch.Stats.renderJSON(std::cout);
     else
       Batch.Stats.renderText(std::cout);
@@ -779,7 +907,25 @@ int cmdBatch(const std::vector<std::string> &Files, int Jobs, bool UseCache,
   return Batch.allSucceeded() ? 0 : 1;
 }
 
-int cmdServe(ServeOptions Opts) {
+int cmdServe(const ParsedArgs &A) {
+  ServeOptions Opts;
+  Opts.SocketPath = A.str("--socket");
+  if (Opts.SocketPath.empty())
+    return usageError(A.Cmd, "--socket is required");
+  Opts.Workers = A.num("--workers");
+  Opts.QueueCapacity = A.num("--queue-cap");
+  Opts.MaxConnections = A.num("--max-conns");
+  Opts.MaxRequestBytes = static_cast<uint32_t>(A.num64("--max-request-bytes"));
+  Opts.DefaultDeadlineMs = A.num("--deadline-ms");
+  Opts.CacheBytes = static_cast<int64_t>(A.num64("--cache-bytes"));
+  Opts.RetryAfterMs = A.num("--retry-after-ms");
+  if (!parseFaults(A, Opts.Faults))
+    return usageError(A.Cmd, "");
+  // Unlike batch, serve also takes the environment's spec when the flag's
+  // spec injects nothing.
+  if (!Opts.Faults.enabled())
+    Opts.Faults = FaultInjector::fromEnv();
+
   Server S(std::move(Opts));
   S.installSignalHandlers();
   if (Status St = S.start(); !St.ok()) {
@@ -797,8 +943,14 @@ int cmdServe(ServeOptions Opts) {
   return Ret;
 }
 
-int cmdClient(const std::string &SocketPath, const std::string &File,
-              bool Health, bool FetchMetrics, AllocRequest Req) {
+int cmdClient(const ParsedArgs &A) {
+  const std::string &SocketPath = A.str("--socket");
+  if (SocketPath.empty())
+    return usageError(A.Cmd, "--socket is required");
+  const bool Health = A.on("--health");
+  const bool FetchMetrics = A.on("--fetch-metrics");
+  if (!Health && !FetchMetrics && A.Positionals.empty())
+    return usageError(A.Cmd, "need a file.s (or --health / --fetch-metrics)");
   ErrorOr<ServeClient> C = ServeClient::connectTo(SocketPath);
   if (!C.ok()) {
     std::cerr << "client: " << C.status().str() << "\n";
@@ -810,14 +962,17 @@ int cmdClient(const std::string &SocketPath, const std::string &File,
   } else if (FetchMetrics) {
     R = C->metrics();
   } else {
-    std::ifstream In(File);
-    if (!In) {
-      std::cerr << "client: cannot open '" << File << "'\n";
+    std::optional<std::string> Assembly = readFile(A.Positionals[0]);
+    if (!Assembly)
       return 1;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Req.Assembly = Buf.str();
+    AllocRequest Req;
+    Req.Nreg = A.num("-nreg");
+    Req.AllowSpill = A.on("--allow-spill");
+    Req.MaxSpills = A.num("--max-spills");
+    Req.Validate = A.on("--validate");
+    Req.DeadlineMs = A.num("--deadline-ms");
+    Req.ProfileHash = A.num64("--profile-hash");
+    Req.Assembly = std::move(*Assembly);
     R = C->alloc(Req);
   }
   if (!R.ok()) {
@@ -845,40 +1000,32 @@ int cmdClient(const std::string &SocketPath, const std::string &File,
   return 0;
 }
 
-int cmdGrid(const std::string &ScenarioName, int Engines,
-            const std::string &PolicyName, int Nreg, int Iters, int MemLat,
-            int HopLat, int Credits, bool Json,
-            const std::string &TraceCycles, int SampleCycles) {
+int cmdGrid(const ParsedArgs &A) {
+  const std::string &ScenarioName = A.Positionals[0];
   GridOptions Opts;
-  if (Engines < 1 || Engines > 16) {
-    std::cerr << "grid: --engines must be in [1, 16]\n";
-    return usage();
-  }
-  Opts.NumEngines = Engines;
-  if (!parsePlacementPolicy(PolicyName, Opts.Policy)) {
-    std::cerr << "grid: unknown placement policy '" << PolicyName << "'\n";
-    return usage();
-  }
-  Opts.Nreg = Nreg;
-  Opts.HopLatency = HopLat;
-  Opts.InitialCredits = Credits;
+  Opts.NumEngines = A.num("--engines");
+  const std::string &PolicyName = A.str("--placement");
+  if (!parsePlacementPolicy(PolicyName, Opts.Policy))
+    return usageError(A.Cmd, "unknown placement policy '" + PolicyName + "'");
+  Opts.Nreg = A.num("-nreg");
+  Opts.HopLatency = A.num("--hoplat");
+  Opts.InitialCredits = A.num("--credits");
   Opts.Sim = defaultExperimentConfig();
-  Opts.Sim.TargetIterations = Iters;
-  Opts.Sim.MemLatency = MemLat;
+  Opts.Sim.TargetIterations = A.num("-iters");
+  Opts.Sim.MemLatency = A.num("-memlat");
   // Virtual-time tracing: thread-state slices per engine, telemetry
   // counters on the configured period, flow arrows for work dispatches.
+  const std::string &TraceCycles = A.str("--trace-cycles");
   CycleTrace CT;
   if (!TraceCycles.empty()) {
     Opts.Trace = &CT;
-    Opts.SampleCycles = SampleCycles > 0 ? SampleCycles : 64;
+    Opts.SampleCycles = A.num("--sample-cycles");
   }
 
   std::vector<std::string> Pool;
-  if (!buildGridPool(ScenarioName, Engines, Pool)) {
-    std::cerr << "grid: unknown scenario '" << ScenarioName
-              << "' (want s1, s2, s3 or mixed)\n";
-    return usage();
-  }
+  if (!buildGridPool(ScenarioName, Opts.NumEngines, Pool))
+    return usageError(A.Cmd, "unknown scenario '" + ScenarioName +
+                             "' (want s1, s2, s3 or mixed)");
   GridReport Report = runKernelPoolGrid(ScenarioName, Pool, Opts);
   if (!TraceCycles.empty() && Report.Success) {
     if (Status S = CT.writeFile(TraceCycles); !S.ok()) {
@@ -893,7 +1040,7 @@ int cmdGrid(const std::string &ScenarioName, int Engines,
     return 1;
   }
 
-  if (Json) {
+  if (A.on("--json")) {
     std::ostringstream OS;
     OS << "{\n  \"name\": \"" << Report.Name << "\",\n"
        << "  \"engines\": " << Report.NumEngines << ",\n"
@@ -928,8 +1075,9 @@ int cmdGrid(const std::string &ScenarioName, int Engines,
   }
 
   std::cout << "grid: " << Report.Name << "  engines=" << Report.NumEngines
-            << "  placement=" << Report.Policy << "  nreg=" << Nreg
-            << "  hoplat=" << HopLat << "  credits=" << Credits << "\n";
+            << "  placement=" << Report.Policy << "  nreg=" << Opts.Nreg
+            << "  hoplat=" << Opts.HopLatency
+            << "  credits=" << Opts.InitialCredits << "\n";
   TableFormatter Table({"Engine", "Kernels", "Regs", "Cycles", "Iters",
                         "IcStall"});
   for (size_t E = 0; E < Report.Engines.size(); ++E) {
@@ -958,21 +1106,17 @@ int cmdGrid(const std::string &ScenarioName, int Engines,
   return 0;
 }
 
-int cmdTraceValidate(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::cerr << "error: cannot open '" << Path << "'\n";
+int cmdTraceValidate(const ParsedArgs &A) {
+  const std::string &Path = A.Positionals[0];
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text)
     return 1;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  const std::string Text = Buf.str();
-  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(Text);
+  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(*Text);
   if (!Events.ok()) {
     std::cerr << Path << ": " << Events.status().str() << "\n";
     return 1;
   }
-  if (Status S = validateChromeTrace(Text); !S.ok()) {
+  if (Status S = validateChromeTrace(*Text); !S.ok()) {
     std::cerr << Path << ": " << S.str() << "\n";
     return 1;
   }
@@ -981,22 +1125,20 @@ int cmdTraceValidate(const std::string &Path) {
   return 0;
 }
 
-int cmdReport(const std::string &Path, const std::string &HtmlOut) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::cerr << "error: cannot open '" << Path << "'\n";
+int cmdReport(const ParsedArgs &A) {
+  const std::string &Path = A.Positionals[0];
+  std::optional<std::string> Text = readFile(Path);
+  if (!Text)
     return 1;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
   // The report trusts its input's structure, so run the strict validator
   // first — a malformed trace is a hard error, not a partial summary.
-  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(Buf.str());
+  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(*Text);
   if (!Events.ok()) {
     std::cerr << Path << ": " << Events.status().str() << "\n";
     return 1;
   }
   const TraceReport Report = TraceReport::build(*Events);
+  const std::string &HtmlOut = A.str("--html");
   if (HtmlOut.empty()) {
     Report.renderText(std::cout);
     return 0;
@@ -1016,390 +1158,70 @@ int cmdReport(const std::string &Path, const std::string &HtmlOut) {
   return 0;
 }
 
-int dispatch(int argc, char **argv) {
-  if (argc < 3)
-    return usage();
-  std::string Cmd = argv[1];
+constexpr size_t Unbounded = std::numeric_limits<size_t>::max();
 
-  if (Cmd == "trace-validate")
-    return cmdTraceValidate(argv[2]);
-
-  if (Cmd == "report") {
-    std::string HtmlOut;
-    for (int I = 3; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--html" && I + 1 < argc)
-        HtmlOut = argv[++I];
-      else
-        return usage();
-    }
-    return cmdReport(argv[2], HtmlOut);
-  }
-
-  if (Cmd == "grid") {
-    std::string ScenarioName = argv[2];
-    std::string Policy = "bounds";
-    int Engines = 4, Nreg = 128, Iters = 50, MemLat = 40, HopLat = 4;
-    int Credits = 4, SampleCycles = 0;
-    bool Json = false;
-    std::string TraceCycles;
-    for (int I = 3; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--json") {
-        Json = true;
-        continue;
-      }
-      if (I + 1 >= argc)
-        return usage();
-      std::string Value = argv[++I];
-      if (Opt == "--engines")
-        Engines = std::atoi(Value.c_str());
-      else if (Opt == "--placement")
-        Policy = Value;
-      else if (Opt == "-nreg")
-        Nreg = std::atoi(Value.c_str());
-      else if (Opt == "-iters")
-        Iters = std::atoi(Value.c_str());
-      else if (Opt == "-memlat")
-        MemLat = std::atoi(Value.c_str());
-      else if (Opt == "--hoplat")
-        HopLat = std::atoi(Value.c_str());
-      else if (Opt == "--credits")
-        Credits = std::atoi(Value.c_str());
-      else if (Opt == "--trace-cycles")
-        TraceCycles = Value;
-      else if (Opt == "--sample-cycles")
-        SampleCycles = std::atoi(Value.c_str());
-      else
-        return usage();
-    }
-    return cmdGrid(ScenarioName, Engines, Policy, Nreg, Iters, MemLat,
-                   HopLat, Credits, Json, TraceCycles, SampleCycles);
-  }
-
-  if (Cmd == "serve") {
-    ServeOptions Opts;
-    for (int I = 2; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (I + 1 >= argc)
-        return usage();
-      std::string Value = argv[++I];
-      if (Opt == "--socket")
-        Opts.SocketPath = Value;
-      else if (Opt == "--workers")
-        Opts.Workers = std::atoi(Value.c_str());
-      else if (Opt == "--queue-cap")
-        Opts.QueueCapacity = std::atoi(Value.c_str());
-      else if (Opt == "--max-conns")
-        Opts.MaxConnections = std::atoi(Value.c_str());
-      else if (Opt == "--max-request-bytes")
-        Opts.MaxRequestBytes =
-            static_cast<uint32_t>(std::atoll(Value.c_str()));
-      else if (Opt == "--deadline-ms")
-        Opts.DefaultDeadlineMs = std::atoi(Value.c_str());
-      else if (Opt == "--cache-bytes")
-        Opts.CacheBytes = std::atoll(Value.c_str());
-      else if (Opt == "--retry-after-ms")
-        Opts.RetryAfterMs = std::atoi(Value.c_str());
-      else if (Opt == "--fault-inject") {
-        ErrorOr<FaultInjector> FI = FaultInjector::parse(Value);
-        if (!FI.ok()) {
-          std::cerr << "error: bad --fault-inject spec: " << FI.status().str()
-                    << "\n";
-          return usage();
-        }
-        Opts.Faults = FI.take();
-      } else
-        return usage();
-    }
-    if (Opts.SocketPath.empty()) {
-      std::cerr << "serve: --socket is required\n";
-      return usage();
-    }
-    if (!Opts.Faults.enabled())
-      Opts.Faults = FaultInjector::fromEnv();
-    return cmdServe(std::move(Opts));
-  }
-
-  if (Cmd == "client") {
-    std::string SocketPath, File;
-    bool Health = false, FetchMetrics = false;
-    AllocRequest Req;
-    for (int I = 2; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--health") {
-        Health = true;
-      } else if (Opt == "--fetch-metrics") {
-        FetchMetrics = true;
-      } else if (Opt == "--allow-spill") {
-        Req.AllowSpill = true;
-      } else if (Opt == "--validate") {
-        Req.Validate = true;
-      } else if (Opt == "--socket" || Opt == "-nreg" ||
-                 Opt == "--max-spills" || Opt == "--deadline-ms" ||
-                 Opt == "--profile-hash") {
-        if (I + 1 >= argc)
-          return usage();
-        std::string Value = argv[++I];
-        if (Opt == "--socket")
-          SocketPath = Value;
-        else if (Opt == "-nreg")
-          Req.Nreg = std::atoi(Value.c_str());
-        else if (Opt == "--max-spills")
-          Req.MaxSpills = std::atoi(Value.c_str());
-        else if (Opt == "--deadline-ms")
-          Req.DeadlineMs = std::atoi(Value.c_str());
-        else
-          Req.ProfileHash =
-              static_cast<uint64_t>(std::strtoull(Value.c_str(), nullptr, 10));
-      } else if (!Opt.empty() && Opt[0] == '-') {
-        return usage();
-      } else {
-        File = std::move(Opt);
-      }
-    }
-    if (SocketPath.empty()) {
-      std::cerr << "client: --socket is required\n";
-      return usage();
-    }
-    if (!Health && !FetchMetrics && File.empty()) {
-      std::cerr << "client: need a file.s (or --health / --fetch-metrics)\n";
-      return usage();
-    }
-    return cmdClient(SocketPath, File, Health, FetchMetrics, std::move(Req));
-  }
-
-  if (Cmd == "batch") {
-    std::vector<std::string> Files;
-    int Jobs = 0, Nreg = 128, MaxSpills = 64, DeadlineMs = 0;
-    int64_t CacheBytes = 0;
-    bool UseCache = false, Stats = false, Json = false, StaticPGO = false;
-    bool AllowSpill = false, RetryDegraded = false, Validate = false;
-    std::string ProfilePath, FaultSpec;
-    for (int I = 2; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--cache") {
-        UseCache = true;
-      } else if (Opt == "--stats") {
-        Stats = true;
-      } else if (Opt == "--json") {
-        Json = true;
-      } else if (Opt == "--pgo-static") {
-        StaticPGO = true;
-      } else if (Opt == "--allow-spill") {
-        AllowSpill = true;
-      } else if (Opt == "--retry-degraded") {
-        RetryDegraded = true;
-      } else if (Opt == "--validate") {
-        Validate = true;
-      } else if (Opt == "--profile") {
-        if (I + 1 >= argc)
-          return usage();
-        ProfilePath = argv[++I];
-      } else if (Opt == "--fault-inject") {
-        if (I + 1 >= argc)
-          return usage();
-        FaultSpec = argv[++I];
-      } else if (Opt == "--cache-bytes") {
-        if (I + 1 >= argc)
-          return usage();
-        CacheBytes = std::atoll(argv[++I]);
-      } else if (Opt == "--jobs" || Opt == "-nreg" || Opt == "--max-spills" ||
-                 Opt == "--deadline-ms") {
-        if (I + 1 >= argc)
-          return usage();
-        int Value = std::atoi(argv[++I]);
-        if (Opt == "--jobs")
-          Jobs = Value;
-        else if (Opt == "-nreg")
-          Nreg = Value;
-        else if (Opt == "--max-spills")
-          MaxSpills = Value;
-        else
-          DeadlineMs = Value;
-      } else if (!Opt.empty() && Opt[0] == '-') {
-        return usage();
-      } else {
-        Files.push_back(std::move(Opt));
-      }
-    }
-    return cmdBatch(Files, Jobs, UseCache, Stats, Json, Nreg, ProfilePath,
-                    StaticPGO, AllowSpill, MaxSpills, RetryDegraded,
-                    DeadlineMs, FaultSpec, Validate, CacheBytes);
-  }
-
-  if (Cmd == "verify") {
-    std::vector<std::string> Files;
-    int Jobs = 1, Nreg = 128, MaxSpills = 64;
-    bool Json = false, Werror = false, AllowSpill = false, StaticPGO = false;
-    bool Paired = false;
-    std::string ProfilePath;
-    for (int I = 2; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--json") {
-        Json = true;
-      } else if (Opt == "--Werror") {
-        Werror = true;
-      } else if (Opt == "--allow-spill") {
-        AllowSpill = true;
-      } else if (Opt == "--pgo-static") {
-        StaticPGO = true;
-      } else if (Opt == "--paired") {
-        Paired = true;
-      } else if (Opt == "--profile") {
-        if (I + 1 >= argc)
-          return usage();
-        ProfilePath = argv[++I];
-      } else if (Opt == "--jobs" || Opt == "-nreg" || Opt == "--max-spills") {
-        if (I + 1 >= argc)
-          return usage();
-        int Value = std::atoi(argv[++I]);
-        if (Opt == "--jobs")
-          Jobs = Value;
-        else if (Opt == "-nreg")
-          Nreg = Value;
-        else
-          MaxSpills = Value;
-      } else if (!Opt.empty() && Opt[0] == '-') {
-        return usage();
-      } else {
-        Files.push_back(std::move(Opt));
-      }
-    }
-    return cmdVerify(Files, Jobs, Json, Werror, Nreg, AllowSpill, MaxSpills,
-                     StaticPGO, ProfilePath, Paired);
-  }
-
-  std::string Path = argv[2];
-  int Nreg = 128, RegsPerThread = 32, Iters = 10, MemLat = 40, Nthd = 4;
-  int MaxSpills = 64, SampleCycles = 0;
-  std::string TraceCycles;
-  bool Json = false, AfterAlloc = false, Physical = false, StaticPGO = false;
-  bool Explain = false, AllowSpill = false, Validate = false, Werror = false;
-  std::string Only, ProfilePath, OutPath;
-  for (int I = 3; I < argc; ++I) {
-    std::string Opt = argv[I];
-    if (Opt == "--json") {
-      Json = true;
-      continue;
-    }
-    if (Opt == "--explain") {
-      Explain = true;
-      continue;
-    }
-    if (Opt == "--allow-spill") {
-      AllowSpill = true;
-      continue;
-    }
-    if (Opt == "--validate") {
-      Validate = true;
-      continue;
-    }
-    if (Opt == "--Werror") {
-      Werror = true;
-      continue;
-    }
-    if (Opt == "--after-alloc") {
-      AfterAlloc = true;
-      continue;
-    }
-    if (Opt == "--physical") {
-      Physical = true;
-      continue;
-    }
-    if (Opt == "--pgo-static") {
-      StaticPGO = true;
-      continue;
-    }
-    if (I + 1 >= argc)
-      return usage();
-    std::string Value = argv[++I];
-    if (Opt == "--only")
-      Only = Value;
-    else if (Opt == "--profile")
-      ProfilePath = Value;
-    else if (Opt == "-o")
-      OutPath = Value;
-    else if (Opt == "-nreg")
-      Nreg = std::atoi(Value.c_str());
-    else if (Opt == "--max-spills")
-      MaxSpills = std::atoi(Value.c_str());
-    else if (Opt == "-regs")
-      RegsPerThread = std::atoi(Value.c_str());
-    else if (Opt == "-iters")
-      Iters = std::atoi(Value.c_str());
-    else if (Opt == "-memlat")
-      MemLat = std::atoi(Value.c_str());
-    else if (Opt == "-nthd")
-      Nthd = std::atoi(Value.c_str());
-    else if (Opt == "--trace-cycles")
-      TraceCycles = Value;
-    else if (Opt == "--sample-cycles")
-      SampleCycles = std::atoi(Value.c_str());
-    else
-      return usage();
-  }
-
-  // Lint inspects the program as written (no live-range renaming), so
-  // diagnostics point at the user's own register names; the allocation
-  // subcommands rename first like the full pipeline does.
-  ErrorOr<MultiThreadProgram> MTP = loadFile(Path, /*Rename=*/Cmd != "lint");
-  if (!MTP.ok()) {
-    std::cerr << "error: " << MTP.status().str() << "\n";
-    return 1;
-  }
-
-  if (Cmd == "analyze")
-    return cmdAnalyze(*MTP);
-  if (Cmd == "alloc") {
-    std::optional<ExecutionProfile> Prof;
-    if (!ProfilePath.empty()) {
-      Prof = loadProfile(ProfilePath);
-      if (!Prof)
-        return 1;
-    }
-    return cmdAlloc(*MTP, Nreg, /*Print=*/!Explain, Prof ? &*Prof : nullptr,
-                    StaticPGO, Explain, AllowSpill, MaxSpills, Validate);
-  }
-  if (Cmd == "profile")
-    return cmdProfile(*MTP, Iters, MemLat, OutPath);
-  if (Cmd == "run")
-    return cmdRun(*MTP, Nreg, Iters, MemLat, TraceCycles, SampleCycles);
-  if (Cmd == "baseline")
-    return cmdBaseline(*MTP, RegsPerThread);
-  if (Cmd == "sra")
-    return cmdSra(*MTP, Nthd, Nreg);
-  if (Cmd == "lint")
-    return cmdLint(MTP.take(), Json, AfterAlloc, Physical, Only, Nreg, Werror);
-  return usage();
-}
+const CommandSpec Commands[] = {
+    {"analyze", "file.s", 1, 1,
+     "per-thread analysis (live ranges, NSRs, pressure) and register bounds",
+     cmdAnalyze},
+    {"alloc", "file.s", 1, 1,
+     "run the inter-thread allocator; print the per-thread PR/SR split and "
+     "the physical assembly",
+     cmdAlloc},
+    {"run", "file.s", 1, 1,
+     "allocate, then simulate on the cycle-level engine", cmdRun},
+    {"baseline", "file.s", 1, 1,
+     "fixed-partition Chaitin/Briggs allocation with spill code",
+     cmdBaseline},
+    {"sra", "file.s", 1, 1,
+     "symmetric allocation: N copies of the file's single thread", cmdSra},
+    {"grid", "scenario", 1, 1,
+     "multi-micro-engine run (docs/grid.md): place the scenario's threads, "
+     "allocate each engine, simulate the grid over the interconnect; "
+     "scenario is s1, s2, s3 (the Table 3 mixes) or mixed",
+     cmdGrid},
+    {"lint", "file.s", 1, 1,
+     "run the static-analysis checkers and report every finding", cmdLint},
+    {"verify", "files...", 1, Unbounded,
+     "allocate each file and prove the physical output equivalent to the "
+     "virtual input (translation validation); a mismatch has a witness",
+     cmdVerify},
+    {"profile", "file.s", 1, 1,
+     "simulate the virtual program and collect per-block execution counts",
+     cmdProfile},
+    {"batch", "files...", 1, Unbounded,
+     "run the full pipeline over many files on a thread pool; one result row "
+     "per file",
+     cmdBatch},
+    {"serve", "", 0, 0,
+     "allocation daemon on a Unix socket (docs/serve.md) with load shedding, "
+     "deadlines and a shared analysis cache; SIGTERM/SIGINT drain it",
+     cmdServe},
+    {"client", "[file.s]", 0, 1,
+     "send one request to a serve daemon; the allocated assembly (as alloc "
+     "prints it) goes to stdout, a summary to stderr",
+     cmdClient},
+    {"trace-validate", "file.json", 1, 1,
+     "strictly parse and validate a Chrome trace-event JSON file",
+     cmdTraceValidate},
+    {"report", "file.json", 1, 1,
+     "summarise a trace: state breakdowns, counters and flow latencies",
+     cmdReport},
+};
+const size_t NumCommands = std::size(Commands);
 
 } // namespace
 
 int main(int argc, char **argv) {
-  // Strip the global observability flags before subcommand parsing so every
-  // subcommand accepts them without threading two extra options through
-  // each per-command argument loop.
-  std::string TraceOut;
-  bool Metrics = false;
-  std::vector<char *> Args;
-  Args.reserve(static_cast<size_t>(argc));
-  for (int I = 0; I < argc; ++I) {
-    std::string_view Opt = argv[I];
-    if (Opt == "--trace-out") {
-      if (I + 1 >= argc)
-        return usage();
-      TraceOut = argv[++I];
-    } else if (Opt == "--metrics") {
-      Metrics = true;
-    } else {
-      Args.push_back(argv[I]);
-    }
-  }
+  ParsedArgs A;
+  const std::string Error = A.parse(argc, argv);
+  if (!Error.empty() || !A.Cmd)
+    return usageError(A.Cmd, Error);
+  const std::string &TraceOut = A.str("--trace-out");
   if (!TraceOut.empty())
     TraceEngine::global().setEnabled(true);
 
-  int Ret = dispatch(static_cast<int>(Args.size()), Args.data());
+  int Ret = A.Cmd->Run(A);
 
   if (!TraceOut.empty()) {
     TraceEngine &TE = TraceEngine::global();
@@ -1412,7 +1234,7 @@ int main(int argc, char **argv) {
                 << " trace events)\n";
     }
   }
-  if (Metrics)
+  if (A.on("--metrics"))
     MetricsRegistry::global().renderText(std::cerr);
   return Ret;
 }
