@@ -70,8 +70,9 @@ private:
 class FragmentAllocatorImpl {
 public:
   FragmentAllocatorImpl(const Program &P, const ThreadAnalysis &TA, int PR,
-                        int SR, const CostModel &Cost)
-      : P(P), TA(TA), PR(PR), R(PR + SR), Cost(Cost) {}
+                        int SR, const CostModel &Cost,
+                        const std::function<bool()> &Cancelled)
+      : P(P), TA(TA), PR(PR), R(PR + SR), Cost(Cost), Cancelled(Cancelled) {}
 
   ColorAllocation run();
 
@@ -81,6 +82,7 @@ private:
   const int PR;
   const int R;
   const CostModel &Cost;
+  const std::function<bool()> &Cancelled;
 
   ColorAllocation Result;
   int InsertedOps = 0;
@@ -206,6 +208,11 @@ ColorAllocation FragmentAllocatorImpl::run() {
   }
 
   for (int B : P.computeRPO()) {
+    if (Cancelled && Cancelled()) {
+      fail("allocation cancelled");
+      Result.Cancelled = true;
+      return Result;
+    }
     processBlock(B, Out);
     if (Aborted)
       return Result;
@@ -434,8 +441,9 @@ void FragmentAllocatorImpl::reconcileEdges(Program &Out) {
 
 } // namespace
 
-ColorAllocation npral::allocateByFragments(const Program &P,
-                                           const ThreadAnalysis &TA, int PR,
-                                           int SR, const CostModel &CM) {
-  return FragmentAllocatorImpl(P, TA, PR, SR, CM).run();
+ColorAllocation
+npral::allocateByFragments(const Program &P, const ThreadAnalysis &TA, int PR,
+                           int SR, const CostModel &CM,
+                           const std::function<bool()> &Cancelled) {
+  return FragmentAllocatorImpl(P, TA, PR, SR, CM, Cancelled).run();
 }

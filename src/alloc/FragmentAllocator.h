@@ -31,6 +31,7 @@
 #include "profile/CostModel.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,9 @@ namespace npral {
 /// strategies; see IntraAllocator.h).
 struct ColorAllocation {
   bool Feasible = false;
+  /// The run saw its cancel poll fire and stopped early (then infeasible).
+  /// A cancelled result says nothing about the budget and must not be kept.
+  bool Cancelled = false;
   /// Why allocation failed (empty when feasible).
   std::string FailReason;
   /// Rewritten program over colors; NumRegs == PR + SR.
@@ -62,9 +66,12 @@ struct ColorAllocation {
 /// touching the program) when PR < RegPCSBmax or PR+SR < RegPmax, and in
 /// the rare "tight shuffle" case where a reconciling copy cycle has no free
 /// scratch color. Inserted ops are priced through \p CM (default: unit).
-ColorAllocation allocateByFragments(const Program &P, const ThreadAnalysis &TA,
-                                    int PR, int SR,
-                                    const CostModel &CM = CostModel());
+/// When \p Cancelled is set it is polled once per block; once it returns
+/// true the run stops with a result marked Cancelled.
+ColorAllocation allocateByFragments(
+    const Program &P, const ThreadAnalysis &TA, int PR, int SR,
+    const CostModel &CM = CostModel(),
+    const std::function<bool()> &Cancelled = nullptr);
 
 } // namespace npral
 

@@ -159,6 +159,8 @@ InterThreadResult npral::allocateInterThread(
   InterThreadResult Result;
   const int Nthd = MTP.getNumThreads();
   auto cancelled = [&]() {
+    if (Limits.TestPollHook)
+      Limits.TestPollHook();
     return Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed);
   };
   auto failCancelled = [&]() {
@@ -199,6 +201,8 @@ InterThreadResult npral::allocateInterThread(
           std::make_unique<IntraThreadAllocator>(P, std::move(CM)));
     if (Log)
       Intras.back()->setDecisionLog(Log, T);
+    if (Limits.Cancel || Limits.TestPollHook)
+      Intras.back()->setCancelPoll(cancelled);
     const RegBounds &B = Intras.back()->getBounds();
     PR[static_cast<size_t>(T)] = B.MaxPR;
     SR[static_cast<size_t>(T)] = B.MaxR - B.MaxPR;
@@ -283,6 +287,10 @@ InterThreadResult npral::allocateInterThread(
         BestDelta = Delta;
       }
     }
+    // A probe that saw the flag reported itself infeasible; none of this
+    // step's bids can be trusted.
+    if (cancelled())
+      return failCancelled();
 
     if (BestKind < 0) {
       // The pure-reduction loop is stuck: every single step either violates
@@ -294,7 +302,10 @@ InterThreadResult npral::allocateInterThread(
       // thread takes its smallest feasible PR, which is complete over the
       // per-thread feasibility frontier. Fig. 8 does not include this step;
       // see DESIGN.md ("extensions").
-      if (!sweepSharedWindow(Intras, Nreg, PR, SR)) {
+      const bool Swept = sweepSharedWindow(Intras, Nreg, PR, SR);
+      if (cancelled())
+        return failCancelled();
+      if (!Swept) {
         Result.FailReason =
             "register requirement cannot be reduced to fit Nreg=" +
             std::to_string(Nreg);
@@ -421,6 +432,8 @@ InterThreadResult npral::allocateInterThread(
         BestSave = Save;
       }
     }
+    if (cancelled())
+      return failCancelled();
 
     if (BestKind < 0)
       break;

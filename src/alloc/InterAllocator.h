@@ -28,6 +28,7 @@
 #include "trace/DecisionLog.h"
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,10 +52,18 @@ struct ThreadAllocation {
 /// External limits on one allocateInterThread call. All fields optional;
 /// the default imposes nothing.
 struct InterAllocLimits {
-  /// When non-null and set, the allocator abandons the run at the next loop
-  /// iteration and fails with StatusCode::DeadlineExceeded. The watchdog
-  /// of the batch pipeline flips this flag from another thread.
+  /// When non-null and set, the allocator abandons the run and fails with
+  /// StatusCode::DeadlineExceeded. The flag is polled between Fig. 8 steps
+  /// and inside every intra-thread probe (per greedy split, per fragment
+  /// block), so one slow probe cannot overrun the deadline by much. Once
+  /// set it must stay set for the rest of the call. The watchdog of the
+  /// batch pipeline flips this flag from another thread. A flag raised
+  /// after the last poll leaves a completed allocation standing.
   const std::atomic<bool> *Cancel = nullptr;
+  /// Test-only: invoked at every poll of Cancel, just before it is read.
+  /// Lets tests raise the flag at an exact point of the run. Never set in
+  /// production paths.
+  std::function<void()> TestPollHook;
 };
 
 /// Outcome of the inter-thread allocator.
@@ -115,9 +124,10 @@ InterThreadResult allocateInterThread(
     const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses,
     const std::vector<CostModel> &Models, AllocationDecisionLog *Log);
 
-/// Cancellable variant: checks \p Limits.Cancel at every Fig. 8 iteration
-/// and every rebalance step, failing with StatusCode::DeadlineExceeded when
-/// it fires. Identical to the 5-argument overload under default limits.
+/// Cancellable variant: checks \p Limits.Cancel at every Fig. 8 iteration,
+/// every rebalance step and inside the intra-thread probes, failing with
+/// StatusCode::DeadlineExceeded when it fires. Identical to the 5-argument
+/// overload under default limits.
 InterThreadResult allocateInterThread(
     const MultiThreadProgram &MTP, int Nreg,
     const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses,

@@ -6,6 +6,7 @@
 #include "alloc/SplitTransforms.h"
 #include "analysis/LiveRangeRenaming.h"
 #include "support/Status.h"
+#include "trace/MetricsRegistry.h"
 
 #include <algorithm>
 #include <cassert>
@@ -82,8 +83,18 @@ const IntraResult &IntraThreadAllocator::allocate(int PR, int SR) {
   auto It = Cache.find(Key);
   if (It != Cache.end())
     return It->second;
-  const IntraResult &R =
-      Cache.emplace(Key, computeAllocation(PR, SR)).first->second;
+  IntraResult Computed = computeAllocation(PR, SR);
+  if (Computed.Cancelled) {
+    // The probe was cut short; never memoise or log it.
+    static const IntraResult Abandoned = [] {
+      IntraResult A;
+      A.Cancelled = true;
+      A.FailReason = "allocation cancelled";
+      return A;
+    }();
+    return Abandoned;
+  }
+  const IntraResult &R = Cache.emplace(Key, std::move(Computed)).first->second;
   if (Log) {
     IntraEvent E;
     E.K = IntraEvent::Recolor;
@@ -146,14 +157,32 @@ IntraResult IntraThreadAllocator::computeAllocation(int PR, int SR) {
     return Result;
   }
 
-  // Strategy 2: greedy NSR exclusion / block splitting.
-  ColorAllocation Greedy = allocateWithGreedySplitting(PR, SR);
+  // Strategy 3: constructive fallback. Computed first: its cost bounds
+  // Strategy 2, which can only stay at or below it by winning. If either
+  // is cut short by the cancel poll, the probe as a whole is.
+  auto cancelledResult = [&]() {
+    Result.Cancelled = true;
+    Result.FailReason = "allocation cancelled";
+    return Result;
+  };
+  ColorAllocation Fragment =
+      allocateByFragments(Original, TA, PR, SR, CM, CancelPoll);
+  if (Fragment.Cancelled)
+    return cancelledResult();
 
-  // Strategy 3: constructive fallback.
-  ColorAllocation Fragment = allocateByFragments(Original, TA, PR, SR, CM);
+  // Strategy 2: greedy NSR exclusion / block splitting.
+  ColorAllocation Greedy =
+      Fragment.Feasible
+          ? allocateWithGreedySplitting(PR, SR,
+                                        CM.isUnit() ? Fragment.MoveCost
+                                                    : Fragment.WeightedCost)
+          : allocateWithGreedySplitting(PR, SR);
+  if (Greedy.Cancelled)
+    return cancelledResult();
 
   // Under the unit model the historical raw-count comparison is preserved
-  // exactly; a frequency model compares the weighted costs instead.
+  // exactly; a frequency model compares the weighted costs instead. A tie
+  // goes to greedy, which is why its bound is exceeded only strictly.
   const ColorAllocation *Best = nullptr;
   const char *Strategy = "";
   bool GreedyWins =
@@ -211,8 +240,21 @@ IntraResult IntraThreadAllocator::computeAllocation(int PR, int SR) {
   return Result;
 }
 
-ColorAllocation IntraThreadAllocator::allocateWithGreedySplitting(int PR,
-                                                                  int SR) {
+int64_t IntraThreadAllocator::greedyCost(const Program &Work) const {
+  if (CM.isUnit())
+    return Work.countMoves() - Original.countMoves();
+  // The transforms never add blocks, so per-block mov deltas line up with
+  // the model's weights.
+  int64_t Weighted = 0;
+  for (int B = 0; B < Original.getNumBlocks(); ++B)
+    Weighted += CM.blockWeight(B) *
+                static_cast<int64_t>(countBlockMoves(Work.block(B)) -
+                                     countBlockMoves(Original.block(B)));
+  return Weighted;
+}
+
+ColorAllocation IntraThreadAllocator::allocateWithGreedySplitting(
+    int PR, int SR, int64_t CostBound) {
   ColorAllocation Result;
   Result.PR = PR;
   Result.SR = SR;
@@ -221,26 +263,31 @@ ColorAllocation IntraThreadAllocator::allocateWithGreedySplitting(int PR,
   Program Work = Original;
   // Progress cap: each split adds a register; allow a generous multiple.
   const int MaxSplits = 4 * Original.NumRegs + 16;
+  // The (node, NSR) of the previous iteration's exclusion, if it was one.
+  std::pair<int, int> LastExclusion(-1, -1);
 
   for (int Iter = 0; Iter < MaxSplits; ++Iter) {
+    if (CancelPoll && CancelPoll()) {
+      Result.Cancelled = true;
+      Result.FailReason = "allocation cancelled";
+      return Result;
+    }
+    // Splits only insert moves and block weights are non-negative, so the
+    // cost never falls: past the bound this attempt cannot win.
+    const int64_t Cost = greedyCost(Work);
+    if (Cost > CostBound) {
+      MetricsRegistry::global().counter("alloc.greedy_prunes").increment();
+      Result.FailReason = "greedy splitting exceeded the fragment cost";
+      return Result;
+    }
+    MetricsRegistry::global().counter("alloc.greedy_reanalyses").increment();
     ThreadAnalysis WorkTA = analyzeThread(Work);
     ConstrainedColoringResult CCR = colorConstrained(WorkTA, PR, R);
     if (CCR.Success) {
       Result.Feasible = true;
       Result.ColorProgram = rewriteToColors(Work, CCR.Colors, R);
       Result.MoveCost = Work.countMoves() - Original.countMoves();
-      if (CM.isUnit()) {
-        Result.WeightedCost = Result.MoveCost;
-      } else {
-        // The transforms never add blocks, so per-block mov deltas line up
-        // with the model's weights.
-        int64_t Weighted = 0;
-        for (int B = 0; B < Original.getNumBlocks(); ++B)
-          Weighted += CM.blockWeight(B) *
-                      static_cast<int64_t>(countBlockMoves(Work.block(B)) -
-                                           countBlockMoves(Original.block(B)));
-        Result.WeightedCost = Weighted;
-      }
+      Result.WeightedCost = Cost;
       return Result;
     }
 
@@ -293,6 +340,16 @@ ColorAllocation IntraThreadAllocator::allocateWithGreedySplitting(int PR,
         }
       }
       if (BestNSR >= 0) {
+        // Excluding the node from the NSR it was just excluded from means
+        // the previous split's own moves are all the node still has there
+        // (an entry-live node re-seeds itself on every round): the split
+        // would only lengthen a move chain, so the attempt has stalled.
+        if (std::make_pair(Node, BestNSR) == LastExclusion) {
+          MetricsRegistry::global().counter("alloc.greedy_stalls").increment();
+          Result.FailReason = "greedy splitting repeated an NSR exclusion";
+          return Result;
+        }
+        LastExclusion = std::make_pair(Node, BestNSR);
         DidSplit = excludeNSR(Work, WorkTA, Node, BestNSR) != NoReg;
         if (DidSplit && Log) {
           IntraEvent E;
@@ -336,6 +393,7 @@ ColorAllocation IntraThreadAllocator::allocateWithGreedySplitting(int PR,
           BestWeighted = W;
         }
       }
+      LastExclusion = std::make_pair(-1, -1);
       if (BestBlock >= 0) {
         DidSplit = splitInBlock(Work, WorkTA, Node, BestBlock) != NoReg;
         if (DidSplit && Log) {

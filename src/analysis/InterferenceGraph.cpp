@@ -98,41 +98,59 @@ void InterferenceGraph::freeze() {
 std::vector<int>
 InterferenceGraph::smallestLastOrder(const BitVector &Members) const {
   assert(Frozen && "ordering an unfrozen graph");
-  const int N = getNumNodes();
 
-  // Residual degree = neighbors still present. Selection repeatedly takes
-  // the lowest-id node of minimum residual degree — the exact tie-break of
-  // the pre-rewrite linear scan, which coloring outputs depend on.
-  std::vector<int32_t> ResidualDeg(static_cast<size_t>(N), 0);
-  BitVector Remaining(N);
-  std::vector<int> MemberList;
-  Members.forEach([&](int M) {
-    Remaining.set(M);
-    MemberList.push_back(M);
-  });
-  for (int M : MemberList) {
-    int D = 0;
-    for (int32_t Nb : neighbors(M))
-      if (Remaining.test(Nb))
+  // Selection repeatedly takes the lowest-id node of minimum residual
+  // degree (neighbors still present) — the exact tie-break of the
+  // pre-rewrite linear scan, which coloring outputs depend on. Members are
+  // numbered by rank in ascending id order and kept in one bit set per
+  // residual degree, so the first rank of the lowest non-empty bucket is
+  // the node to take: a step reads at most M/64 words of one bucket where
+  // the linear scan tested every remaining node. The buckets cost
+  // (MaxDegree + 1) * M bits; a std::set keyed on (degree, id) needs only
+  // O(M) but measured 3-4x slower than the old linear scan on generated
+  // threads of 40-200 instructions, the common size here.
+  const std::vector<int> MemberList = Members.toVector();
+  const int M = static_cast<int>(MemberList.size());
+  std::vector<int32_t> RankOf(static_cast<size_t>(getNumNodes()), -1);
+  for (int R = 0; R < M; ++R)
+    RankOf[static_cast<size_t>(MemberList[static_cast<size_t>(R)])] = R;
+
+  // Residual degree per rank; -1 once removed.
+  std::vector<int32_t> Degree(static_cast<size_t>(M), 0);
+  int MaxDegree = 0;
+  for (int R = 0; R < M; ++R) {
+    int32_t &D = Degree[static_cast<size_t>(R)];
+    for (int32_t Nb : neighbors(MemberList[static_cast<size_t>(R)]))
+      if (RankOf[static_cast<size_t>(Nb)] >= 0)
         ++D;
-    ResidualDeg[static_cast<size_t>(M)] = D;
+    MaxDegree = std::max(MaxDegree, static_cast<int>(D));
   }
+  std::vector<BitVector> Buckets(static_cast<size_t>(MaxDegree + 1),
+                                 BitVector(M));
+  for (int R = 0; R < M; ++R)
+    Buckets[static_cast<size_t>(Degree[static_cast<size_t>(R)])].set(R);
 
   std::vector<int> Removal;
-  Removal.reserve(MemberList.size());
-  for (size_t Step = 0; Step < MemberList.size(); ++Step) {
-    int Best = -1;
-    Remaining.forEach([&](int M) {
-      if (Best < 0 || ResidualDeg[static_cast<size_t>(M)] <
-                          ResidualDeg[static_cast<size_t>(Best)])
-        Best = M;
-    });
-    assert(Best >= 0 && "no removable node");
-    Remaining.reset(Best);
-    Removal.push_back(Best);
-    for (int32_t Nb : neighbors(Best))
-      if (Remaining.test(Nb))
-        --ResidualDeg[static_cast<size_t>(Nb)];
+  Removal.reserve(static_cast<size_t>(M));
+  // Lowest possibly non-empty bucket. Removing a node lowers each
+  // neighbor's degree by one, so the minimum falls by at most one per step.
+  int MinDegree = 0;
+  for (int Step = 0; Step < M; ++Step) {
+    int Best;
+    while ((Best = Buckets[static_cast<size_t>(MinDegree)].findFirst()) < 0)
+      ++MinDegree;
+    Buckets[static_cast<size_t>(MinDegree)].reset(Best);
+    Degree[static_cast<size_t>(Best)] = -1;
+    Removal.push_back(MemberList[static_cast<size_t>(Best)]);
+    for (int32_t Nb : neighbors(MemberList[static_cast<size_t>(Best)])) {
+      const int R = RankOf[static_cast<size_t>(Nb)];
+      if (R < 0 || Degree[static_cast<size_t>(R)] < 0)
+        continue;
+      int32_t &D = Degree[static_cast<size_t>(R)];
+      Buckets[static_cast<size_t>(D)].reset(R);
+      Buckets[static_cast<size_t>(--D)].set(R);
+    }
+    MinDegree = std::max(0, MinDegree - 1);
   }
   std::reverse(Removal.begin(), Removal.end());
   return Removal;

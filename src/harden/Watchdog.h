@@ -3,7 +3,8 @@
 /// \file
 /// A Watchdog arms a one-shot deadline on construction and flips an atomic
 /// cancel flag when it expires. Long-running cooperative loops (the Fig. 8
-/// reduction loop, the PGO rebalancer) poll the flag through
+/// reduction loop, the PGO rebalancer, greedy splitting and the fragment
+/// allocator inside each intra-thread probe) poll the flag through
 /// InterAllocLimits::Cancel and abandon the run with
 /// StatusCode::DeadlineExceeded — the work is bounded without killing the
 /// process or leaking a partially-constructed result.

@@ -26,6 +26,7 @@
 #include "ir/IRVerifier.h"
 #include "support/StringUtils.h"
 #include "trace/MetricsRegistry.h"
+#include "workloads/ProgramGenerator.h"
 
 #include "../common/TestUtils.h"
 #include "gtest/gtest.h"
@@ -435,6 +436,173 @@ TEST(WatchdogTest, CancelledAllocationFailsWithDeadlineExceeded) {
       allocateWithSpillFallback(*MTP, 4, {}, {}, nullptr, Limits);
   EXPECT_FALSE(SF.Inter.Success);
   EXPECT_EQ(SF.Inter.FailCode, StatusCode::DeadlineExceeded);
+}
+
+namespace {
+
+/// A generated thread whose (PR=7, SR=1) probe needs several rounds of
+/// greedy splitting.
+Program greedyProbeThread() {
+  GeneratorConfig Config;
+  Config.TargetInstructions = 40;
+  Config.CtxRatePerMille = 280;
+  Config.NumLongLived = 6;
+  Config.MaxDepth = 2;
+  return generateRandomProgram(0, Config);
+}
+
+/// Two copies of greedyProbeThread; \p Budget is set one register below
+/// their move-free requirement, so the Fig. 8 loop must reduce.
+MultiThreadProgram squeezedPair(int &Budget) {
+  MultiThreadProgram MTP;
+  MTP.Name = "squeezed";
+  int Requirement = 0, MaxSR = 0;
+  for (int T = 0; T < 2; ++T) {
+    MTP.Threads.push_back(renameLiveRanges(greedyProbeThread()));
+    const RegBounds B = estimateRegBounds(analyzeThread(MTP.Threads.back()));
+    Requirement += B.MaxPR;
+    MaxSR = std::max(MaxSR, B.MaxR - B.MaxPR);
+  }
+  Budget = Requirement + MaxSR - 1;
+  return MTP;
+}
+
+int64_t greedyReanalyses() {
+  return MetricsRegistry::global().counterValue("alloc.greedy_reanalyses");
+}
+
+} // namespace
+
+TEST(WatchdogTest, CancelPollBindsInsideIntraProbes) {
+  // The poll sits inside the probe itself, so a raised flag costs no
+  // greedy re-analysis — work counted, not wall clock.
+  std::atomic<bool> Cancel{true};
+  IntraThreadAllocator Intra(greedyProbeThread());
+  Intra.setCancelPoll([&] { return Cancel.load(); });
+  const int64_t Before = greedyReanalyses();
+  const IntraResult &Cut = Intra.allocate(7, 1);
+  EXPECT_FALSE(Cut.Feasible);
+  EXPECT_TRUE(Cut.Cancelled);
+  EXPECT_EQ(greedyReanalyses(), Before);
+
+  // The cancelled probe was not memoised: once the flag clears, the same
+  // allocator does the real work and matches a fresh one.
+  Cancel = false;
+  const IntraResult &R = Intra.allocate(7, 1);
+  EXPECT_GT(greedyReanalyses(), Before);
+  IntraThreadAllocator FreshIntra(greedyProbeThread());
+  const IntraResult &Fresh = FreshIntra.allocate(7, 1);
+  ASSERT_TRUE(R.Feasible) << R.FailReason;
+  EXPECT_FALSE(R.Cancelled);
+  EXPECT_EQ(R.Strategy, Fresh.Strategy);
+  EXPECT_EQ(R.MoveCost, Fresh.MoveCost);
+  EXPECT_EQ(programToString(R.ColorProgram),
+            programToString(Fresh.ColorProgram));
+}
+
+TEST(WatchdogTest, CancelRaisedMidGreedyStopsAtTheNextSplit) {
+  // The flag goes up right after greedy's first re-analysis; its next
+  // iteration sees it, so exactly one re-analysis happens where an
+  // uncancelled probe does several.
+  std::atomic<bool> Cancel{false};
+  IntraThreadAllocator Intra(greedyProbeThread());
+  const int64_t Before = greedyReanalyses();
+  Intra.setCancelPoll([&] {
+    if (greedyReanalyses() > Before)
+      Cancel = true;
+    return Cancel.load();
+  });
+  EXPECT_TRUE(Intra.allocate(7, 1).Cancelled);
+  EXPECT_EQ(greedyReanalyses(), Before + 1);
+
+  IntraThreadAllocator FreshIntra(greedyProbeThread());
+  const int64_t FreshBefore = greedyReanalyses();
+  EXPECT_FALSE(FreshIntra.allocate(7, 1).Cancelled);
+  EXPECT_GT(greedyReanalyses() - FreshBefore, 1);
+}
+
+TEST(WatchdogTest, CancelledReductionsDoNoGreedyWork) {
+  // A pre-set flag on an input that needs reductions ends the run as
+  // DeadlineExceeded before any greedy re-analysis.
+  int Budget = 0;
+  const MultiThreadProgram MTP = squeezedPair(Budget);
+  std::atomic<bool> Cancel{true};
+  InterAllocLimits Limits;
+  Limits.Cancel = &Cancel;
+  const int64_t Before = greedyReanalyses();
+  InterThreadResult R =
+      allocateInterThread(MTP, Budget, {}, {}, nullptr, Limits);
+  EXPECT_FALSE(R.Success);
+  EXPECT_EQ(R.FailCode, StatusCode::DeadlineExceeded);
+  EXPECT_EQ(greedyReanalyses(), Before);
+
+  // Without the flag the same budget does need greedy probes.
+  InterThreadResult Plain = allocateInterThread(MTP, Budget);
+  EXPECT_TRUE(Plain.Success) << Plain.FailReason;
+  EXPECT_GT(greedyReanalyses(), Before);
+}
+
+TEST(WatchdogTest, CancelRaisedAtAnyPollEndsTheRunCleanly) {
+  // Replay the squeezed allocation once per poll, raising the flag at that
+  // poll: wherever a watchdog fires, the run reports DeadlineExceeded and
+  // no greedy re-analysis follows — never an abort, a bogus Infeasible or
+  // a half-built allocation.
+  int Budget = 0;
+  const MultiThreadProgram MTP = squeezedPair(Budget);
+  std::vector<int64_t> AtPoll; // re-analysis counter at each poll
+  InterAllocLimits Counting;
+  Counting.TestPollHook = [&] { AtPoll.push_back(greedyReanalyses()); };
+  const InterThreadResult Plain =
+      allocateInterThread(MTP, Budget, {}, {}, nullptr, Counting);
+  ASSERT_TRUE(Plain.Success) << Plain.FailReason;
+  AtPoll.push_back(greedyReanalyses());
+  const int Polls = static_cast<int>(AtPoll.size()) - 1;
+  ASSERT_GT(Polls, 0);
+
+  int GreedyPolls = 0;
+  for (int N = 1; N <= Polls; ++N) {
+    std::atomic<bool> Cancel{false};
+    int Seen = 0;
+    int64_t AtRaise = -1;
+    InterAllocLimits Limits;
+    Limits.Cancel = &Cancel;
+    Limits.TestPollHook = [&] {
+      if (++Seen == N) {
+        Cancel = true;
+        AtRaise = greedyReanalyses();
+      }
+    };
+    const InterThreadResult R =
+        allocateInterThread(MTP, Budget, {}, {}, nullptr, Limits);
+    EXPECT_FALSE(R.Success) << "poll " << N;
+    EXPECT_EQ(R.FailCode, StatusCode::DeadlineExceeded) << "poll " << N;
+    EXPECT_EQ(greedyReanalyses(), AtRaise) << "poll " << N;
+    // Only greedy's own poll comes straight before a re-analysis; there the
+    // uncancelled run kept working and this one stopped.
+    if (AtPoll[static_cast<size_t>(N)] > AtPoll[static_cast<size_t>(N) - 1])
+      ++GreedyPolls;
+  }
+  EXPECT_GT(GreedyPolls, 0);
+}
+
+TEST(WatchdogTest, LateCancelLeavesCompletedAllocationStanding) {
+  // With budget to spare no reduction runs and nothing polls the flag, so
+  // a flag raised before the call (or by a watchdog firing after the last
+  // poll) must leave the finished allocation intact and correct.
+  int Budget = 0;
+  const MultiThreadProgram MTP = squeezedPair(Budget);
+  std::atomic<bool> Cancel{true};
+  InterAllocLimits Limits;
+  Limits.Cancel = &Cancel;
+  const InterThreadResult R =
+      allocateInterThread(MTP, Budget + 1, {}, {}, nullptr, Limits);
+  const InterThreadResult Plain = allocateInterThread(MTP, Budget + 1);
+  ASSERT_TRUE(Plain.Success) << Plain.FailReason;
+  ASSERT_TRUE(R.Success) << R.FailReason;
+  ASSERT_EQ(R.Physical.Threads.size(), Plain.Physical.Threads.size());
+  for (size_t T = 0; T < R.Physical.Threads.size(); ++T)
+    EXPECT_EQ(programToString(R.Physical.Threads[T]),
+              programToString(Plain.Physical.Threads[T]));
 }
 
 //===----------------------------------------------------------------------===//

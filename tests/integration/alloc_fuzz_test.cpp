@@ -26,6 +26,7 @@
 #include "baseline/ChaitinAllocator.h"
 #include "lint/Lint.h"
 #include "lint/TranslationValidator.h"
+#include "trace/MetricsRegistry.h"
 
 #include "gtest/gtest.h"
 
@@ -318,6 +319,32 @@ TEST_P(AllocFuzzTest, BitIdenticalToPreRewriteGoldens) {
         << "seed " << Seed << " mode " << Mode
         << ": allocation diverged from the pre-rewrite golden";
   }
+}
+
+// Deterministic work gate: greedy splitting re-analyses the whole thread
+// after every split, which made it the allocator's latency tail until the
+// fragment cost started bounding it and a repeated NSR exclusion started
+// ending it (124066 re-analyses here before either). The total over the
+// plain and static-PGO allocations of the corpus is a pure function of the
+// code, so it is gated with no slack: a change that raises it must raise
+// this constant on purpose.
+TEST(AllocFuzzWork, GreedyReanalysesWithinBudget) {
+  constexpr int64_t MaxGreedyReanalyses = 1659;
+  const MetricsRegistry &M = MetricsRegistry::global();
+  auto count = [&](const char *Name) { return M.counterValue(Name); };
+  const int64_t Before = count("alloc.greedy_reanalyses");
+  const int64_t PrunesBefore = count("alloc.greedy_prunes");
+  const int64_t StallsBefore = count("alloc.greedy_stalls");
+  for (uint64_t Seed = 0; Seed < 200; ++Seed)
+    for (const char *Mode : {"plain", "pgo"})
+      fuzzcase::goldenOutcome(Seed, Mode);
+  const int64_t Reanalyses = count("alloc.greedy_reanalyses") - Before;
+  RecordProperty("greedy_reanalyses", std::to_string(Reanalyses));
+  RecordProperty("greedy_prunes",
+                 std::to_string(count("alloc.greedy_prunes") - PrunesBefore));
+  RecordProperty("greedy_stalls",
+                 std::to_string(count("alloc.greedy_stalls") - StallsBefore));
+  EXPECT_LE(Reanalyses, MaxGreedyReanalyses);
 }
 
 // 5 tests x 200 seeds = 1000 randomized cases over varied (Nthd, Nreg, CSB

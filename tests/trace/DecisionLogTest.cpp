@@ -12,6 +12,8 @@
 
 #include "alloc/InterAllocator.h"
 #include "analysis/LiveRangeRenaming.h"
+#include "trace/MetricsRegistry.h"
+#include "workloads/ProgramGenerator.h"
 
 #include "../common/TestUtils.h"
 #include "gtest/gtest.h"
@@ -228,4 +230,94 @@ TEST(DecisionLogTest, FailureIsLogged) {
   std::ostringstream OS;
   Log.renderExplain(OS);
   EXPECT_NE(OS.str().find("failed:"), std::string::npos);
+}
+
+namespace {
+
+/// A small generated thread with frequent context switches, so that its
+/// tight budgets need greedy splitting.
+Program splitHeavyThread(uint64_t Seed) {
+  GeneratorConfig Config;
+  Config.TargetInstructions = 40;
+  Config.CtxRatePerMille = 280;
+  Config.NumLongLived = 6;
+  Config.MaxDepth = 2;
+  return generateRandomProgram(Seed, Config);
+}
+
+/// Greedy stopped early and fragments won: the log holds exactly the
+/// \p Splits split events greedy performed, then the usual recolor and
+/// fragment-fallback lines, and no other event kind.
+void expectSplitsThenFragment(const AllocationDecisionLog &Log, size_t Splits,
+                              int PR, int SR) {
+  ASSERT_EQ(Log.IntraEvents.size(), Splits + 2);
+  for (size_t I = 0; I < Splits; ++I) {
+    const IntraEvent &E = Log.IntraEvents[I];
+    EXPECT_TRUE(E.K == IntraEvent::ExcludeNSR || E.K == IntraEvent::BlockSplit)
+        << "event " << I << ": " << E.Detail;
+    EXPECT_EQ(E.PR, PR);
+    EXPECT_EQ(E.SR, SR);
+  }
+  const IntraEvent &Recolor = Log.IntraEvents[Splits];
+  EXPECT_EQ(Recolor.K, IntraEvent::Recolor);
+  EXPECT_EQ(Recolor.Detail.rfind("strategy=fragment ", 0), 0u)
+      << Recolor.Detail;
+  EXPECT_EQ(Log.IntraEvents.back().K, IntraEvent::FragmentFallback);
+}
+
+struct GreedyWork {
+  int64_t Reanalyses, Prunes, Stalls;
+};
+
+GreedyWork greedyWork() {
+  const MetricsRegistry &M = MetricsRegistry::global();
+  return {M.counterValue("alloc.greedy_reanalyses"),
+          M.counterValue("alloc.greedy_prunes"),
+          M.counterValue("alloc.greedy_stalls")};
+}
+
+} // namespace
+
+TEST(DecisionLogTest, PrunedGreedyAttemptLogsOnlyItsSplits) {
+  // After its first split greedy's moves already exceed the fragment
+  // allocator's, so the bound stops it before the next re-analysis and
+  // fragments win.
+  IntraThreadAllocator Intra(splitHeavyThread(29));
+  AllocationDecisionLog Log;
+  Intra.setDecisionLog(&Log, 0);
+  const GreedyWork Before = greedyWork();
+  const IntraResult &R = Intra.allocate(8, 1);
+  const GreedyWork After = greedyWork();
+  ASSERT_TRUE(R.Feasible) << R.FailReason;
+  EXPECT_EQ(R.Strategy, "fragment");
+  EXPECT_EQ(After.Prunes - Before.Prunes, 1);
+  EXPECT_EQ(After.Stalls, Before.Stalls);
+  const int64_t Reanalyses = After.Reanalyses - Before.Reanalyses;
+  ASSERT_GT(Reanalyses, 0);
+  // Every re-analysis was followed by one split; the prune came before
+  // the next re-analysis.
+  expectSplitsThenFragment(Log, static_cast<size_t>(Reanalyses), 8, 1);
+}
+
+TEST(DecisionLogTest, StalledGreedyAttemptLogsOnlyItsSplits) {
+  // An entry-live boundary node is excluded from the entry NSR, and the
+  // next coloring fails at it again with the same NSR chosen: greedy stops
+  // instead of repeating the exclusion, and fragments win.
+  IntraThreadAllocator Intra(splitHeavyThread(0));
+  AllocationDecisionLog Log;
+  Intra.setDecisionLog(&Log, 0);
+  const GreedyWork Before = greedyWork();
+  const IntraResult &R = Intra.allocate(7, 1);
+  const GreedyWork After = greedyWork();
+  ASSERT_TRUE(R.Feasible) << R.FailReason;
+  EXPECT_EQ(R.Strategy, "fragment");
+  EXPECT_EQ(After.Stalls - Before.Stalls, 1);
+  EXPECT_EQ(After.Prunes, Before.Prunes);
+  const int64_t Reanalyses = After.Reanalyses - Before.Reanalyses;
+  ASSERT_GT(Reanalyses, 1);
+  // The last re-analysis chose the repeated exclusion, which was neither
+  // performed nor logged.
+  expectSplitsThenFragment(Log, static_cast<size_t>(Reanalyses) - 1, 7, 1);
+  EXPECT_EQ(Log.IntraEvents[static_cast<size_t>(Reanalyses) - 2].K,
+            IntraEvent::ExcludeNSR);
 }
