@@ -14,8 +14,7 @@
 using namespace npral;
 
 Simulator::Simulator(const MultiThreadProgram &MTP, SimConfig Config)
-    : MTP(MTP), Config(Config) {
-  Memory.assign(Config.MemWords, 0);
+    : MTP(MTP), Config(Config), Memory(Config.MemWords) {
   Channels.assign(static_cast<size_t>(Config.NumChannels), 0);
   const int Nthd = MTP.getNumThreads();
   Stats.assign(static_cast<size_t>(Nthd), ThreadStats());

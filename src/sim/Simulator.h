@@ -27,6 +27,7 @@
 #define NPRAL_SIM_SIMULATOR_H
 
 #include "ir/Program.h"
+#include "support/MappedWords.h"
 
 #include <cstdint>
 #include <limits>
@@ -289,7 +290,7 @@ private:
 
   const MultiThreadProgram &MTP;
   SimConfig Config;
-  std::vector<uint32_t> Memory;
+  MappedWords Memory;
   std::vector<uint32_t> SharedRegs;
   std::vector<std::vector<uint32_t>> PrivateRegs;
   std::vector<ThreadState> Threads;

@@ -1,5 +1,6 @@
-//===- SupportTest.cpp - Diagnostics, Rng, strings, tables ----------------===//
+//===- SupportTest.cpp - Diagnostics, Rng, strings, tables, words --------===//
 
+#include "support/MappedWords.h"
 #include "support/Random.h"
 #include "support/Status.h"
 #include "support/StringUtils.h"
@@ -9,6 +10,7 @@
 
 #include <set>
 #include <sstream>
+#include <utility>
 
 using namespace npral;
 
@@ -150,4 +152,26 @@ TEST(TableFormatterTest, PercentCell) {
   std::ostringstream OS;
   T.printCsv(OS);
   EXPECT_EQ(OS.str(), "P\n+18.3%\n");
+}
+
+TEST(MappedWordsTest, ZeroFilledAndWritable) {
+  MappedWords W(1u << 20);
+  ASSERT_EQ(W.size(), 1u << 20);
+  EXPECT_EQ(W[0], 0u);
+  EXPECT_EQ(W[W.size() - 1], 0u);
+  W[12345] = 0xdeadbeef;
+  EXPECT_EQ(W[12345], 0xdeadbeefu);
+  EXPECT_EQ(W.begin()[12345], 0xdeadbeefu);
+}
+
+TEST(MappedWordsTest, MoveTransfersTheMapping) {
+  MappedWords A(16);
+  A[3] = 7;
+  MappedWords B(std::move(A));
+  EXPECT_EQ(A.size(), 0u);
+  ASSERT_EQ(B.size(), 16u);
+  EXPECT_EQ(B[3], 7u);
+  MappedWords Empty(0);
+  EXPECT_EQ(Empty.size(), 0u);
+  EXPECT_EQ(Empty.begin(), nullptr);
 }
