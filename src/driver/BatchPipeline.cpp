@@ -8,10 +8,8 @@
 #include "driver/AnalysisCache.h"
 #include "harden/SpillFallback.h"
 #include "harden/Watchdog.h"
-#include "ir/IRPrinter.h"
 #include "ir/IRVerifier.h"
 #include "lint/TranslationValidator.h"
-#include "profile/StaticFrequencyEstimator.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 #include "trace/MetricsRegistry.h"
@@ -113,20 +111,10 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
     const std::string Text = encodeProgram(T);
     const uint64_t ContentHash = fnv1aHash(Text);
 
-    CostModel CM;
-    const ThreadProfile *TP =
-        Opts.Profile
-            ? Opts.Profile->findByCodeHash(fnv1aHash(programToString(T)))
-            : nullptr;
-    if (TP) {
-      ++R.ProfiledThreads;
-      const int ProfIdx =
-          static_cast<int>(TP - Opts.Profile->Threads.data());
-      CM = Opts.Profile->costModel(ProfIdx, T.getNumBlocks());
-    } else if (Opts.StaticPGO) {
-      CM = estimateCostModel(T);
-    }
-    Models.push_back(std::move(CM));
+    bool Profiled = false;
+    Models.push_back(
+        resolveCostModel(T, Opts.Profile, Opts.StaticPGO, &Profiled));
+    R.ProfiledThreads += Profiled;
 
     std::shared_ptr<const ThreadAnalysisBundle> Bundle;
     if (Cache) {
@@ -205,21 +193,12 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
   R.TotalMoveCost = Alloc.TotalMoveCost;
   R.TotalWeightedCost = Alloc.TotalWeightedCost;
 
-  // Stage 5: independent cross-thread safety verification.
-  if (Opts.Verify) {
-    NPRAL_TRACE_SPAN_ARGS("batch", "verify", {"name", R.Name});
-    const int64_t T0 = nowNs();
-    Status Safety = verifyAllocationSafety(Alloc.Physical);
-    R.VerifyNs = nowNs() - T0;
-    if (!Safety.ok())
-      return fail("verify", StatusCode::Internal,
-                  "unsafe allocation: " + Safety.str());
-  }
-
-  // Stage 6: translation validation — prove the physical output computes
-  // exactly what the renamed virtual program (still held in MTP; allocation
-  // does not mutate its input) computes. Spill-degraded outputs are proved
-  // against the same pre-spill reference.
+  // Stage 5: one oracle per allocation. Translation validation proves the
+  // physical output computes exactly what the renamed virtual program
+  // (still held in MTP; allocation does not mutate its input) computes,
+  // spill-degraded outputs against the same pre-spill reference. Its CSB
+  // clobbers refute every cross-thread race, so a validated job skips the
+  // safety check; an unvalidated one still runs it.
   if (Opts.Validate) {
     NPRAL_TRACE_SPAN_ARGS("batch", "validate", {"name", R.Name});
     const int64_t T0 = nowNs();
@@ -234,6 +213,14 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
                              : std::string("program shape mismatch")));
     }
     R.Validated = true;
+  } else {
+    NPRAL_TRACE_SPAN_ARGS("batch", "verify", {"name", R.Name});
+    const int64_t T0 = nowNs();
+    Status Safety = verifyAllocationSafety(Alloc.Physical);
+    R.VerifyNs = nowNs() - T0;
+    if (!Safety.ok())
+      return fail("verify", StatusCode::Internal,
+                  "unsafe allocation: " + Safety.str());
   }
 
   if (Opts.KeepPhysical)

@@ -6,6 +6,7 @@
 ///
 ///   parse -> live-range renaming -> liveness/NSR/interference ->
 ///   bounds estimation -> inter/intra allocation -> safety verification
+///   or translation validation
 ///
 /// across a fixed-size ThreadPool. Jobs are independent — each writes only
 /// its own result slot — so the output is bit-identical for any worker
@@ -59,14 +60,13 @@ struct BatchOptions {
   /// Callers passing their own AnalysisCache configure the bound on it
   /// directly.
   int64_t CacheBytes = 0;
-  /// Run the AllocationVerifier over every successful allocation.
-  bool Verify = true;
-  /// Run the translation validator over every successful allocation: a
-  /// symbolic value-flow proof that the physical program computes exactly
-  /// what the renamed virtual program computes (lint/TranslationValidator.h).
-  /// Strictly stronger than Verify's safety check — it catches miscompiles,
-  /// not just cross-thread clobbers — at roughly one extra dataflow pass
-  /// per job. A refuted job fails in stage "validate".
+  /// Prove every successful allocation with the translation validator
+  /// instead of the AllocationVerifier's safety check: a symbolic
+  /// value-flow proof that the physical program computes exactly what the
+  /// renamed virtual program computes (lint/TranslationValidator.h).
+  /// Strictly stronger than the safety check — it catches miscompiles, not
+  /// just cross-thread clobbers. A refuted job fails in stage "validate";
+  /// without this flag an unsafe one fails in stage "verify".
   bool Validate = false;
   /// Retain each job's physical program in its result (costs memory; the
   /// CLI leaves it off, tests and the determinism suite turn it on).
@@ -123,7 +123,8 @@ struct BatchJobResult {
   bool Success = false;
   std::string FailReason;
   /// Pipeline stage that failed: "parse", "analysis", "bounds", "alloc",
-  /// "verify", or "internal" for a captured exception. Empty on success.
+  /// "verify", "validate", or "internal" for a captured exception. Empty
+  /// on success.
   std::string FailStage;
   /// Classification of the failure; Ok on success.
   StatusCode FailCode = StatusCode::Ok;

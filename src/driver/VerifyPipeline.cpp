@@ -6,10 +6,8 @@
 #include "analysis/LiveRangeRenaming.h"
 #include "asmparse/AsmParser.h"
 #include "harden/SpillFallback.h"
-#include "ir/IRPrinter.h"
 #include "lint/Lint.h"
 #include "lint/TranslationValidator.h"
-#include "profile/StaticFrequencyEstimator.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 #include "trace/MetricsRegistry.h"
@@ -66,28 +64,15 @@ void verifyOne(const std::string &Path, const VerifyOptions &Opts,
     }
   } else {
     // Allocate mode: the validator checks the allocator's own output
-    // against the renamed input, exactly as the batch pipeline would.
+    // against the renamed input. Unlike the batch pipeline this runs no
+    // analysis precondition, so an input that reads an undefined register
+    // (lint_buggy.s) is proved here but refused by `npralc batch`.
     for (Program &T : MTP.Threads)
       T = renameLiveRanges(T);
     std::vector<CostModel> Models;
-    if (Opts.Profile || Opts.StaticPGO) {
-      Models.reserve(MTP.Threads.size());
-      for (const Program &T : MTP.Threads) {
-        CostModel CM;
-        const ThreadProfile *TP =
-            Opts.Profile
-                ? Opts.Profile->findByCodeHash(fnv1aHash(programToString(T)))
-                : nullptr;
-        if (TP) {
-          const int ProfIdx =
-              static_cast<int>(TP - Opts.Profile->Threads.data());
-          CM = Opts.Profile->costModel(ProfIdx, T.getNumBlocks());
-        } else if (Opts.StaticPGO) {
-          CM = estimateCostModel(T);
-        }
-        Models.push_back(std::move(CM));
-      }
-    }
+    if (Opts.Profile || Opts.StaticPGO)
+      for (const Program &T : MTP.Threads)
+        Models.push_back(resolveCostModel(T, Opts.Profile, Opts.StaticPGO));
     InterThreadResult Alloc;
     if (Opts.AllowSpill) {
       SpillFallbackOptions SpillOpts;

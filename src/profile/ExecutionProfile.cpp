@@ -2,6 +2,8 @@
 
 #include "profile/ExecutionProfile.h"
 
+#include "ir/IRPrinter.h"
+#include "profile/StaticFrequencyEstimator.h"
 #include "support/StringUtils.h"
 
 #include <sstream>
@@ -221,4 +223,18 @@ CostModel ExecutionProfile::costModel(int Thread, int NumBlocks) const {
   for (int B = 0; B < NumBlocks; ++B)
     CM.setBlockWeight(B, TP.blockCount(B));
   return CM;
+}
+
+CostModel npral::resolveCostModel(const Program &T,
+                                  const ExecutionProfile *Profile,
+                                  bool StaticPGO, bool *Profiled) {
+  const ThreadProfile *TP =
+      Profile ? Profile->findByCodeHash(fnv1aHash(programToString(T)))
+              : nullptr;
+  if (Profiled)
+    *Profiled = TP != nullptr;
+  if (TP)
+    return Profile->costModel(static_cast<int>(TP - Profile->Threads.data()),
+                              T.getNumBlocks());
+  return StaticPGO ? estimateCostModel(T) : CostModel();
 }

@@ -28,6 +28,7 @@
 #ifndef NPRAL_PROFILE_EXECUTIONPROFILE_H
 #define NPRAL_PROFILE_EXECUTIONPROFILE_H
 
+#include "ir/Program.h"
 #include "profile/CostModel.h"
 
 #include <cstdint>
@@ -103,6 +104,14 @@ public:
   /// the unit model.
   CostModel costModel(int Thread, int NumBlocks) const;
 };
+
+/// The cost model for thread \p T, resolved in the order every driver
+/// uses: the thread of \p Profile (may be null) whose code hash matches T's
+/// printed text, else the static estimator when \p StaticPGO is set, else
+/// the unit model. \p Profiled, when given, is set to whether the profile
+/// matched.
+CostModel resolveCostModel(const Program &T, const ExecutionProfile *Profile,
+                           bool StaticPGO, bool *Profiled = nullptr);
 
 } // namespace npral
 

@@ -18,11 +18,20 @@ ErrorOr<ServeResponse> ServeClient::roundTrip(FrameType Type,
                                               std::string Payload) {
   const uint64_t Id = NextId++;
   Frame Out{static_cast<uint16_t>(Type), Id, std::move(Payload)};
-  if (Status S = writeFrame(Sock, Out); !S.ok())
-    return S;
+  // A server at its connection cap answers the connection, not a request:
+  // one id-0 Error frame, then close — possibly before our request is
+  // written. That frame is the structured response, so read it even when
+  // the write failed.
+  const Status Sent = writeFrame(Sock, Out);
   Frame In;
-  if (Status S = readFrame(Sock, In, DefaultMaxRequestBytes); !S.ok())
-    return S;
+  const Status Got = readFrame(Sock, In, DefaultMaxRequestBytes);
+  if (Got.ok() && In.RequestId == 0 &&
+      In.Type == static_cast<uint16_t>(FrameType::Error))
+    return parseResponse(In.Type, In.Payload);
+  if (!Sent.ok())
+    return Sent;
+  if (!Got.ok())
+    return Got;
   if (In.RequestId != Id)
     return Status::error(StatusCode::ParseError,
                          "response id " + std::to_string(In.RequestId) +

@@ -97,6 +97,14 @@ void Server::installSignalHandlers() {
 void Server::requestShutdown() {
   if (ShutdownRequested.exchange(true))
     return;
+  // Queued requests are abandoned from this call on, not from whenever the
+  // accept thread wakes: a worker that finishes its in-flight request in
+  // between must not start a queued one.
+  {
+    std::lock_guard<std::mutex> Lock(QueueMutex);
+    Draining = true;
+  }
+  QueueCV.notify_all();
   Wake.poke();
 }
 
@@ -263,7 +271,6 @@ void Server::workerLoop() {
 void Server::processRequest(Pending &P) {
   BatchOptions BO;
   BO.Nreg = P.Req.Nreg;
-  BO.Verify = Opts.Verify;
   BO.Validate = P.Req.Validate;
   BO.KeepPhysical = true;
   BO.AllowSpill = P.Req.AllowSpill;

@@ -80,8 +80,6 @@ struct ServeOptions {
   /// a worker hostage past this bound; the response is then dropped and
   /// counted.
   int SendTimeoutMs = 10000;
-  /// Run the safety verifier over every successful allocation.
-  bool Verify = true;
   /// Deterministic fault injection, shared by every request (the CLI
   /// wires NPRAL_FAULT_INJECT / --fault-inject through here).
   FaultInjector Faults;

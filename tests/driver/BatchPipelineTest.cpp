@@ -10,10 +10,13 @@
 #include "driver/BatchPipeline.h"
 #include "ir/IRPrinter.h"
 #include "trace/MetricsRegistry.h"
+#include "trace/TraceEngine.h"
+#include "trace/TraceValidator.h"
 #include "workloads/ProgramGenerator.h"
 
 #include "gtest/gtest.h"
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,6 +52,29 @@ std::vector<BatchJob> makeCorpus(int N) {
 
 std::string examplePath(const char *File) {
   return std::string(NPRAL_EXAMPLES_ASM_DIR) + "/" + File;
+}
+
+/// Run \p Jobs traced and count the "batch" spans each stage opened.
+std::map<std::string, int> tracedStageSpans(const std::vector<BatchJob> &Jobs,
+                                            const BatchOptions &Opts,
+                                            BatchResult &Out) {
+  TraceEngine &TE = TraceEngine::global();
+  TE.setEnabled(false);
+  TE.clear();
+  TE.setEnabled(true);
+  Out = runBatch(Jobs, Opts);
+  TE.setEnabled(false);
+  std::ostringstream OS;
+  TE.exportJSON(OS);
+  TE.clear();
+  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(OS.str());
+  EXPECT_TRUE(Events.ok()) << Events.status().str();
+  std::map<std::string, int> Spans;
+  if (Events.ok())
+    for (const ParsedTraceEvent &E : *Events)
+      if (E.Ph == 'B' && E.Cat == "batch")
+        ++Spans[E.Name];
+  return Spans;
 }
 
 } // namespace
@@ -230,6 +256,39 @@ TEST(BatchPipelineTest, ValidateProvesJobsAndFillsStats) {
   EXPECT_EQ(Back.Validated, R.Stats.Validated);
   EXPECT_EQ(Back.ValidateFailed, R.Stats.ValidateFailed);
   EXPECT_EQ(Back.ValidateNs, R.Stats.ValidateNs);
+}
+
+TEST(BatchPipelineTest, EachJobRunsExactlyOneOracle) {
+  std::vector<BatchJob> Jobs = makeCorpus(3);
+  BatchOptions Opts;
+  Opts.Jobs = 2;
+  Opts.Validate = true;
+  BatchResult Validated;
+  std::map<std::string, int> Spans = tracedStageSpans(Jobs, Opts, Validated);
+  ASSERT_TRUE(Validated.allSucceeded());
+  for (const BatchJobResult &Res : Validated.Results) {
+    EXPECT_TRUE(Res.Validated) << Res.Name;
+    EXPECT_EQ(Res.VerifyNs, 0) << Res.Name;
+  }
+  EXPECT_EQ(Validated.Stats.VerifyNs, 0);
+#if NPRAL_TRACE
+  EXPECT_EQ(Spans["validate"], 3);
+  EXPECT_EQ(Spans["verify"], 0);
+#endif
+
+  // Without Validate the safety check is the job's oracle.
+  Opts.Validate = false;
+  BatchResult Checked;
+  Spans = tracedStageSpans(Jobs, Opts, Checked);
+  ASSERT_TRUE(Checked.allSucceeded());
+  for (const BatchJobResult &Res : Checked.Results) {
+    EXPECT_FALSE(Res.Validated) << Res.Name;
+    EXPECT_EQ(Res.ValidateNs, 0) << Res.Name;
+  }
+#if NPRAL_TRACE
+  EXPECT_EQ(Spans["verify"], 3);
+  EXPECT_EQ(Spans["validate"], 0);
+#endif
 }
 
 TEST(BatchPipelineTest, ValidateOffKeepsStatsOutputByteStable) {

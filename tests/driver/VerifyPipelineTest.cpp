@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,6 +78,30 @@ TEST(VerifyPipelineTest, PairedModeRejectsBadSwapWithWitness) {
   EXPECT_NE(D.Message.find("does not carry the value"), std::string::npos)
       << D.Message;
   EXPECT_NE(D.Witness.find("path:"), std::string::npos) << D.Witness;
+}
+
+TEST(VerifyPipelineTest, PairedModeRejectsBadRaceAtAlphasReads) {
+  // bad_race.s pairs bad_alloc.s's physical threads with their virtual
+  // sources: each thread alone is faithful, but beta writes the p1/p2 that
+  // alpha keeps live across its load CSBs. The validator must refute
+  // alpha's reads of both after the switches, and nothing in beta.
+  VerifyOptions Opts;
+  Opts.Paired = true;
+  VerifyResult R = runVerify({examplePath("bad_race.s")}, Opts);
+  ASSERT_EQ(R.Files.size(), 1u);
+  EXPECT_EQ(R.Rejected, 1);
+  EXPECT_EQ(R.Files[0].ThreadsProved, 1);
+  std::set<std::string> Witnessed;
+  for (const Diagnostic &D : R.Files[0].Diags) {
+    EXPECT_EQ(D.Check, "translation-validation");
+    EXPECT_EQ(D.Thread, "alpha") << D.Message;
+    EXPECT_GE(D.Instr, 3) << "only reads after the first CSB are racy";
+    for (const char *Reg : {"p1", "p2"})
+      if (D.Message.find(std::string("operand '") + Reg + "'") !=
+          std::string::npos)
+        Witnessed.insert(Reg);
+  }
+  EXPECT_EQ(Witnessed, (std::set<std::string>{"p1", "p2"}));
 }
 
 TEST(VerifyPipelineTest, SpillDegradedOutputStillProves) {

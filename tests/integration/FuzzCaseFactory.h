@@ -80,47 +80,68 @@ inline std::string printPhysicalThreads(const MultiThreadProgram &MTP) {
   return S;
 }
 
-/// One golden record: `ok:<fnv64-hex of printed assembly>`, `infeasible`
-/// (allocator reported an infeasible budget), or `skip` (the seed has no
-/// squeezable gap for the spill mode).
-inline std::string goldenOutcome(uint64_t Seed, const std::string &Mode) {
-  auto hashed = [](const MultiThreadProgram &Physical) {
-    char Buf[32];
-    snprintf(Buf, sizeof(Buf), "ok:%016llx",
-             static_cast<unsigned long long>(
-                 fnv1aHash(printPhysicalThreads(Physical))));
-    return std::string(Buf);
-  };
+/// The allocation one golden records: the case it was made from (the
+/// translation validator's reference is `Case.Renamed`) and the allocator's
+/// result. `Skipped` is set when spill mode finds no squeezable gap.
+struct CaseAllocation {
+  FuzzCase Case;
+  InterThreadResult Result;
+  bool Skipped = false;
+};
 
+/// Allocate seed \p Seed in \p Mode: "plain" (unit weights), "pgo" (static
+/// estimator weights) or "spill" (small programs squeezed below the
+/// feasibility lower bound, recovered by the spill fallback).
+inline CaseAllocation allocateCase(uint64_t Seed, const std::string &Mode) {
+  CaseAllocation A;
   if (Mode == "plain" || Mode == "pgo") {
-    FuzzCase C = makeCase(Seed);
+    A.Case = makeCase(Seed);
     std::vector<CostModel> Models;
     if (Mode == "pgo")
-      for (const Program &P : C.Renamed.Threads)
+      for (const Program &P : A.Case.Renamed.Threads)
         Models.push_back(estimateCostModel(P));
-    InterThreadResult R = allocateInterThread(C.Renamed, C.Nreg, {}, Models);
-    return R.Success ? hashed(R.Physical) : "infeasible";
+    A.Result = allocateInterThread(A.Case.Renamed, A.Case.Nreg, {}, Models);
+    return A;
   }
 
   // Spill mode: squeeze the budget below the feasibility lower bound, as in
   // AllocFuzzTest.SpillFallbackRecoversInfeasibleBudgets.
-  FuzzCase C = makeCase(Seed, /*SmallPrograms=*/true);
+  A.Case = makeCase(Seed, /*SmallPrograms=*/true);
   int SumMinPR = 0, MaxMinSRGap = 0;
-  for (const Program &P : C.Renamed.Threads) {
+  for (const Program &P : A.Case.Renamed.Threads) {
     const RegBounds B = estimateRegBounds(analyzeThread(P));
     SumMinPR += B.MinPR;
     MaxMinSRGap = std::max(MaxMinSRGap, B.MinR - B.MinPR);
   }
   const int LowerBound = SumMinPR + MaxMinSRGap;
   const int Squeeze = 1 + static_cast<int>(Seed % 4);
-  const int Tight = std::max(4 * C.Nthd, LowerBound - Squeeze);
-  if (Tight >= LowerBound)
-    return "skip";
+  const int Tight = std::max(4 * A.Case.Nthd, LowerBound - Squeeze);
+  if (Tight >= LowerBound) {
+    A.Skipped = true;
+    return A;
+  }
   SpillFallbackOptions Opts;
   Opts.MaxSpills = 256;
-  SpillFallbackResult SF = allocateWithSpillFallback(
-      C.Renamed, Tight, {}, {}, nullptr, InterAllocLimits(), Opts);
-  return SF.Inter.Success ? hashed(SF.Inter.Physical) : "infeasible";
+  A.Result = allocateWithSpillFallback(A.Case.Renamed, Tight, {}, {}, nullptr,
+                                       InterAllocLimits(), Opts)
+                 .Inter;
+  return A;
+}
+
+/// One golden record: `ok:<fnv64-hex of printed assembly>`, `infeasible`
+/// (allocator reported an infeasible budget), or `skip` (the seed has no
+/// squeezable gap for the spill mode).
+inline std::string goldenOutcome(uint64_t Seed, const std::string &Mode) {
+  const CaseAllocation A = allocateCase(Seed, Mode);
+  if (A.Skipped)
+    return "skip";
+  if (!A.Result.Success)
+    return "infeasible";
+  char Buf[32];
+  snprintf(Buf, sizeof(Buf), "ok:%016llx",
+           static_cast<unsigned long long>(
+               fnv1aHash(printPhysicalThreads(A.Result.Physical))));
+  return std::string(Buf);
 }
 
 } // namespace fuzzcase

@@ -289,13 +289,53 @@ TEST(ServeTest, FuzzedFramesAlwaysGetClassifiedOutcomes) {
     C.socket().shutdownBoth();
   }
 
-  // Still serving.
-  ServeClient C = connectOrDie(*S);
+  // Still serving. The fuzzed connections' readers may not all have exited
+  // yet, so the connection cap can refuse this client with its structured
+  // Unavailable answer; a bounded number of fresh connections gets through.
   AllocRequest Req;
   Req.Assembly = readFileOrDie(examplePath("fig3_paper.s"));
-  ErrorOr<ServeResponse> R = C.alloc(Req);
+  ErrorOr<ServeResponse> R = Status::error(StatusCode::Unavailable, "unsent");
+  for (int Attempt = 0; Attempt < 1000; ++Attempt) {
+    ServeClient C = connectOrDie(*S);
+    R = C.alloc(Req);
+    ASSERT_TRUE(R.ok()) << R.status().str();
+    if (R->Ok || R->Code != "unavailable" || R->Stage != "admission")
+      break;
+  }
+  EXPECT_TRUE(R->Ok) << R->Code << " " << R->Stage << ": " << R->Message;
+
+  S->requestShutdown();
+  EXPECT_EQ(S->wait(), 0);
+}
+
+TEST(ServeTest, ConnectionCapAnswersWithStructuredUnavailable) {
+  ServeOptions Opts;
+  Opts.MaxConnections = 1;
+  Opts.RetryAfterMs = 25;
+  auto S = startServer(std::move(Opts));
+
+  // A completed round trip proves the first connection is registered.
+  ServeClient C1 = connectOrDie(*S);
+  ErrorOr<ServeResponse> H = C1.health();
+  ASSERT_TRUE(H.ok()) << H.status().str();
+
+  // The second connection is over the cap: its alloc gets the server's
+  // id-0 Unavailable frame as a structured response, not a transport error.
+  ServeClient C2 = connectOrDie(*S);
+  AllocRequest Req;
+  Req.Assembly = readFileOrDie(examplePath("two_threads.s"));
+  ErrorOr<ServeResponse> R = C2.alloc(Req);
   ASSERT_TRUE(R.ok()) << R.status().str();
-  EXPECT_TRUE(R->Ok);
+  EXPECT_FALSE(R->Ok);
+  EXPECT_EQ(R->Code, "unavailable");
+  EXPECT_EQ(R->Stage, "admission");
+  EXPECT_EQ(R->RetryAfterMs, 25);
+  EXPECT_EQ(S->stats().ConnectionsRejected.load(), 1);
+
+  // The first connection keeps being served.
+  ErrorOr<ServeResponse> Ok = C1.alloc(Req);
+  ASSERT_TRUE(Ok.ok()) << Ok.status().str();
+  EXPECT_TRUE(Ok->Ok);
 
   S->requestShutdown();
   EXPECT_EQ(S->wait(), 0);

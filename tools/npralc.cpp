@@ -557,16 +557,19 @@ int cmdAlloc(const ParsedArgs &A) {
     std::cerr << "allocation failed: " << R.FailReason << "\n";
     return 1;
   }
-  if (Status S = verifyAllocationSafety(R.Physical); !S.ok()) {
-    std::cerr << "internal error, unsafe allocation: " << S.str() << "\n";
-    return 1;
-  }
-  // Translation validation: prove the physical output equivalent to the
-  // (renamed) virtual input, and cross-check the decision log against the
-  // reported result. Spill-degraded outputs are proved against the same
-  // pre-spill reference; the log cross-check only applies to the strict
-  // path, where the log describes the final (only) allocation attempt.
-  if (Validate) {
+  // One oracle per allocation, as in the batch pipeline. Translation
+  // validation proves the physical output equivalent to the (renamed)
+  // virtual input, which subsumes the safety check, and cross-checks the
+  // decision log against the reported result. Spill-degraded outputs are
+  // proved against the same pre-spill reference; the log cross-check only
+  // applies to the strict path, where the log describes the final (only)
+  // allocation attempt.
+  if (!Validate) {
+    if (Status S = verifyAllocationSafety(R.Physical); !S.ok()) {
+      std::cerr << "internal error, unsafe allocation: " << S.str() << "\n";
+      return 1;
+    }
+  } else {
     DiagnosticEngine Engine;
     ValidationResult V = validateTranslation(MTP, R.Physical, Engine,
                                              &MetricsRegistry::global());
